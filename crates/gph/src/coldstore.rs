@@ -706,12 +706,6 @@ impl ColdSegment {
         let mut tail = vec![0u8; tail_len];
         file.read_at(blob_off + blob_len - tail_len as u64, &mut tail)?;
         let footer = Footer::parse(ENGINE_MAGIC, SNAPSHOT_VERSION, blob_len, &tail)?;
-        if footer.version() < 3 {
-            return Err(HammingError::Corrupt(format!(
-                "version {} snapshots are not offset-addressed; load resident",
-                footer.version()
-            )));
-        }
         if footer.n_slots() != N_ENGINE_SLOTS {
             return Err(HammingError::Corrupt(format!(
                 "engine snapshot has {} sections, expected {N_ENGINE_SLOTS}",

@@ -34,7 +34,7 @@ use crate::snapshot::{decode_gph_config, encode_gph_config};
 use bytes::BufMut;
 use gph_obs::{PhaseNanos, SegmentTrace};
 use hamming_core::error::{HammingError, Result};
-use hamming_core::io::{crc32, ByteReader, Footer, OffsetWriter, SectionReader, PAGE_SIZE};
+use hamming_core::io::{crc32, ByteReader, Footer, OffsetWriter, OFFSET_HEADER_LEN, PAGE_SIZE};
 use hamming_core::tombstone::Tombstones;
 use hamming_core::{words_for, Dataset};
 use std::collections::HashMap;
@@ -43,10 +43,9 @@ use std::sync::Arc;
 /// Magic of a segmented-engine snapshot.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"GPHS";
 
-/// Current segmented-snapshot format version. Version 2 was never
-/// shipped: the segmented container jumped from 1 straight to 3 so that
-/// every offset-addressed format (GPHE, GPHS) shares the same
-/// generation number — see `FORMAT.md`.
+/// Segmented-snapshot format version, shared with every other
+/// offset-addressed format (GPHE, GPHM) — see `FORMAT.md`. Readers
+/// accept this version only.
 pub const SEGMENT_VERSION: u32 = 3;
 
 // GPHS v3 slot indices (see `FORMAT.md`).
@@ -915,36 +914,20 @@ impl SegmentedGph {
         w.finish()
     }
 
-    /// Restores an engine from [`SegmentedGph::to_bytes`] bytes (v3) or
-    /// a legacy v1 snapshot, fully resident. The restored engine is
-    /// query-for-query identical to the saved one, and — because the
-    /// build config travels with the data — behaves identically under
-    /// further mutations too.
+    /// Restores an engine from [`SegmentedGph::to_bytes`] bytes, fully
+    /// resident. The restored engine is query-for-query identical to the
+    /// saved one, and — because the build config travels with the data —
+    /// behaves identically under further mutations too.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         Self::from_bytes_with_storage(bytes, StorageMode::Resident)
     }
 
     /// [`SegmentedGph::from_bytes`] with an explicit [`StorageMode`] for
     /// the restored sealed segments. Under
-    /// [`StorageMode::FileBacked`] each v3 segment blob is spilled to a
-    /// temp file and served through a shared page cache instead of being
-    /// decoded onto the heap. Legacy v1 snapshots have no mappable
-    /// blobs: their segments restore resident regardless of mode (newly
-    /// sealed segments still go cold).
+    /// [`StorageMode::FileBacked`] each segment blob is spilled to a temp
+    /// file and served through a shared page cache instead of being
+    /// decoded onto the heap. Every payload CRC is verified up front.
     pub fn from_bytes_with_storage(bytes: &[u8], storage: StorageMode) -> Result<Self> {
-        if bytes.len() >= 8
-            && bytes[..4] == SEGMENT_MAGIC
-            && u32::from_le_bytes(bytes[4..8].try_into().unwrap()) >= 3
-        {
-            Self::decode_v3(bytes, storage)
-        } else {
-            Self::decode_legacy(bytes, storage)
-        }
-    }
-
-    /// Decodes a GPHS v3 container from memory with every payload CRC
-    /// verified up front.
-    fn decode_v3(bytes: &[u8], storage: StorageMode) -> Result<Self> {
         let f = Footer::parse_bytes(SEGMENT_MAGIC, SEGMENT_VERSION, bytes)?;
         if f.n_slots() != N_SEG_SLOTS {
             return Err(HammingError::Corrupt(format!(
@@ -989,40 +972,6 @@ impl SegmentedGph {
         out.finish_restore()
     }
 
-    /// Decodes a legacy (v1, tag-addressed) snapshot. Segments always
-    /// restore resident — v1 engines are not offset-addressed, so there
-    /// is nothing to page against.
-    fn decode_legacy(bytes: &[u8], storage: StorageMode) -> Result<Self> {
-        let r = SectionReader::parse(SEGMENT_MAGIC, 1, bytes)?;
-        let cfg = decode_gph_config(r.section("config")?)?;
-        let (dim, seal_rows, max_sealed, n_sealed) = Self::decode_seghdr(r.section("seghdr")?)?;
-        let mut out =
-            SegmentedGph::new(dim, cfg, SegmentConfig { seal_rows, max_sealed, storage })?;
-        out.mem = Self::decode_memtable(
-            r.section("memdata")?,
-            r.section("memids")?,
-            r.section("memdead")?,
-            dim,
-        )?;
-
-        for i in 0..n_sealed {
-            let mut sr = ByteReader::new(r.section(&format!("seg{i}"))?);
-            let n = sr.len(4, "segment id count")?;
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                ids.push(sr.u32("segment id")?);
-            }
-            let dead_len = sr.len(1, "segment tombstone length")?;
-            let dead = Tombstones::decode(sr.bytes(dead_len, "segment tombstones")?)?;
-            let eng_len = sr.len(1, "segment engine length")?;
-            let store = SegStore::Resident(Gph::from_bytes(sr.bytes(eng_len, "segment engine")?)?);
-            sr.finish("sealed segment")?;
-            Self::check_segment(i, &store, &ids, &dead, dim, out.cfg.tau_max)?;
-            out.sealed.push(Sealed { store, ids, dead });
-        }
-        out.finish_restore()
-    }
-
     /// Decodes the fixed segment header: dim, seal_rows, max_sealed,
     /// sealed-segment count.
     fn decode_seghdr(bytes: &[u8]) -> Result<(usize, usize, usize, usize)> {
@@ -1064,7 +1013,7 @@ impl SegmentedGph {
         Ok(Memtable { data: mem_data, ids: mem_ids, dead: mem_dead })
     }
 
-    /// Decodes one v3 segment-table entry: arena-relative blob offset,
+    /// Decodes one segment-table entry: arena-relative blob offset,
     /// blob length, external ids, tombstones.
     fn decode_segtab_entry(tr: &mut ByteReader<'_>) -> Result<(u64, usize, Vec<u32>, Tombstones)> {
         let rel = tr.u64("blob offset")?;
@@ -1111,7 +1060,7 @@ impl SegmentedGph {
         Ok(())
     }
 
-    /// Final restore validation shared by every decode path: rebuild the
+    /// Final restore validation shared by both restore paths: rebuild the
     /// location map and require the distinct live ids to match the
     /// per-segment live sums (duplicates would collide in the map).
     fn finish_restore(mut self) -> Result<Self> {
@@ -1130,7 +1079,7 @@ impl SegmentedGph {
 
     /// Writes [`SegmentedGph::to_bytes`] to `path` atomically.
     pub fn save<P: AsRef<std::path::Path>>(&self, path: P) -> Result<()> {
-        crate::snapshot::write_atomic(path.as_ref(), &self.to_bytes())
+        hamming_core::io::write_atomic(path.as_ref(), &self.to_bytes())
     }
 
     /// Reads an engine snapshot from `path`, fully resident.
@@ -1142,7 +1091,7 @@ impl SegmentedGph {
     /// [`StorageMode`].
     ///
     /// This is the out-of-core warm-start path: under
-    /// [`StorageMode::FileBacked`] a v3 snapshot is *mapped, not read* —
+    /// [`StorageMode::FileBacked`] a snapshot is *mapped, not read* —
     /// the footer and the metadata sections (config, memtable, segment
     /// table; a few KiB) are read directly and CRC-verified, while every
     /// sealed segment's blob stays on disk, opened as a
@@ -1156,10 +1105,6 @@ impl SegmentedGph {
     /// snapshot via [`SegmentedGph::save`] is safe on platforms where
     /// rename unlinks (the open descriptor pins the old bytes), but the
     /// file must not be truncated or rewritten in place.
-    ///
-    /// Legacy v1 snapshots interleave engines with metadata and cannot
-    /// be mapped; they are read and restored resident, with the storage
-    /// mode applied to future seals only.
     pub fn load_with_storage<P: AsRef<std::path::Path>>(
         path: P,
         storage: StorageMode,
@@ -1168,22 +1113,7 @@ impl SegmentedGph {
             return SegmentedGph::load(path);
         };
         let file = Arc::new(SegmentFile::open(path.as_ref(), false)?);
-        if file.len() < 8 {
-            return Err(HammingError::Corrupt("snapshot shorter than its header".into()));
-        }
-        let mut header = [0u8; 8];
-        file.read_at(0, &mut header)?;
-        if header[..4] != SEGMENT_MAGIC {
-            return Err(HammingError::Corrupt(format!(
-                "bad magic {:?}, expected {SEGMENT_MAGIC:?}",
-                &header[..4]
-            )));
-        }
-        if u32::from_le_bytes(header[4..8].try_into().unwrap()) < 3 {
-            return SegmentedGph::from_bytes_with_storage(&std::fs::read(path)?, storage);
-        }
-
-        // v3: footer + metadata slots via direct reads, blobs deferred.
+        // Footer + metadata slots via direct reads, blobs deferred.
         let tail_len = Footer::MAX_LEN.min(file.len() as usize);
         let mut tail = vec![0u8; tail_len];
         file.read_at(file.len() - tail_len as u64, &mut tail)?;
@@ -1193,6 +1123,15 @@ impl SegmentedGph {
                 "segmented snapshot has {} sections, expected {N_SEG_SLOTS}",
                 f.n_slots()
             )));
+        }
+        // Header cross-check (Footer::parse only saw the tail).
+        let mut header = [0u8; OFFSET_HEADER_LEN];
+        file.read_at(0, &mut header)?;
+        if header[..4] != SEGMENT_MAGIC
+            || header[4..8] != SEGMENT_VERSION.to_le_bytes()
+            || header[8..12] != (N_SEG_SLOTS as u32).to_le_bytes()
+        {
+            return Err(HammingError::Corrupt("header does not match footer".into()));
         }
         let meta = |slot: usize| -> Result<Vec<u8>> {
             let s = f.slot(slot)?;
@@ -1453,6 +1392,35 @@ mod tests {
         for cut in (0..bytes.len()).step_by(61) {
             assert!(SegmentedGph::from_bytes(&bytes[..cut]).is_err(), "cut={cut}");
         }
+        // A header claiming the retired tagged-section GPHS v1, both as a
+        // legacy-shaped prefix and as the current container relabelled
+        // with its footer CRC resealed, is rejected on the resident and
+        // the file-backed path alike.
+        let mut legacy = SEGMENT_MAGIC.to_vec();
+        legacy.extend_from_slice(&1u32.to_le_bytes());
+        legacy.extend_from_slice(&5u32.to_le_bytes());
+        legacy.extend_from_slice(b"config  ");
+        let mut relabelled = bytes.clone();
+        let n = relabelled.len();
+        relabelled[4..8].copy_from_slice(&1u32.to_le_bytes());
+        relabelled[n - 20..n - 16].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&relabelled[n - Footer::footer_len(N_SEG_SLOTS)..n - 8]);
+        relabelled[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
+        let path = std::env::temp_dir().join(format!("gph-segv1-{}.gphs", std::process::id()));
+        for bad in [legacy, relabelled] {
+            std::fs::write(&path, &bad).unwrap();
+            let cold = StorageMode::FileBacked { budget_bytes: 1 << 20 };
+            for got in
+                [SegmentedGph::from_bytes(&bad), SegmentedGph::load_with_storage(&path, cold)]
+            {
+                match got {
+                    Err(HammingError::Corrupt(_)) => {}
+                    Err(other) => panic!("v1 header: unexpected error kind {other}"),
+                    Ok(_) => panic!("v1 header was accepted"),
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1499,43 +1467,6 @@ mod tests {
         assert_eq!(eng.len(), 2);
         assert!(eng.delete(2));
         assert_eq!(eng.len(), 1);
-    }
-
-    /// Re-encodes an engine in the retired GPHS v1 tag-addressed layout
-    /// so the legacy decode path stays covered without checked-in
-    /// fixtures.
-    fn encode_segmented_v1(eng: &SegmentedGph) -> Vec<u8> {
-        let mut w = hamming_core::io::SectionWriter::new(SEGMENT_MAGIC, 1);
-        w.section("config", &encode_gph_config(&eng.cfg));
-        let mut hdr = Vec::with_capacity(32);
-        hdr.put_u64_le(eng.dim as u64);
-        hdr.put_u64_le(eng.seg_cfg.seal_rows as u64);
-        hdr.put_u64_le(eng.seg_cfg.max_sealed as u64);
-        hdr.put_u64_le(eng.sealed.len() as u64);
-        w.section("seghdr", &hdr);
-        w.section("memdata", &hamming_core::io::encode_dataset(&eng.mem.data));
-        let mut mem_ids = Vec::new();
-        mem_ids.put_u64_le(eng.mem.ids.len() as u64);
-        for &id in &eng.mem.ids {
-            mem_ids.put_u32_le(id);
-        }
-        w.section("memids", &mem_ids);
-        w.section("memdead", &eng.mem.dead.encode());
-        for (i, seg) in eng.sealed.iter().enumerate() {
-            let engine = seg.store.engine_bytes().unwrap();
-            let dead = seg.dead.encode();
-            let mut body = Vec::new();
-            body.put_u64_le(seg.ids.len() as u64);
-            for &id in &seg.ids {
-                body.put_u32_le(id);
-            }
-            body.put_u64_le(dead.len() as u64);
-            body.put_slice(&dead);
-            body.put_u64_le(engine.len() as u64);
-            body.put_slice(&engine);
-            w.section(&format!("seg{i}"), &body);
-        }
-        w.finish()
     }
 
     fn assert_same_answers(a: &SegmentedGph, b: &SegmentedGph, queries: &[Vec<u64>]) {
@@ -1592,32 +1523,6 @@ mod tests {
             .unwrap(),
             &rows,
         );
-    }
-
-    #[test]
-    fn v1_snapshots_load_through_the_legacy_path() {
-        let rows = random_rows(48, 25, 21);
-        let mut eng = SegmentedGph::new(48, cfg(), seg_cfg()).unwrap();
-        for (i, row) in rows.iter().enumerate() {
-            eng.insert(i as u32, row).unwrap();
-        }
-        eng.delete(7);
-        let v1 = encode_segmented_v1(&eng);
-        assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1);
-        let loaded = SegmentedGph::from_bytes(&v1).unwrap();
-        assert_same_answers(&eng, &loaded, &rows);
-        // Re-saving writes the current (v3) container.
-        let resaved = loaded.to_bytes();
-        assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), SEGMENT_VERSION);
-        // A file-backed restore of v1 bytes stays resident (mixed mode)
-        // but still answers identically.
-        let mixed = SegmentedGph::from_bytes_with_storage(
-            &v1,
-            StorageMode::FileBacked { budget_bytes: 1 << 20 },
-        )
-        .unwrap();
-        assert!(mixed.page_cache_stats().is_none(), "no blobs to map in a v1 container");
-        assert_same_answers(&eng, &mixed, &rows);
     }
 
     #[test]

@@ -36,17 +36,10 @@
 //! query byte-identically to the engine that was saved — the round-trip
 //! property test in `tests/snapshot_roundtrip.rs` pins this down.
 //!
-//! **Version policy:** the reader accepts any version `1..=` the current
-//! [`SNAPSHOT_VERSION`]; incompatible layout changes bump
-//! `SNAPSHOT_VERSION`, and old readers reject newer files with
-//! [`HammingError::Corrupt`] instead of misparsing them.
-//!
-//! Versions 1 and 2 were [`hamming_core::io::SectionReader`]-framed
-//! (tagged sections, no alignment): version 2 stored the inverted index
-//! in CSR form ([`hamming_core::InvertedIndex::encode`]), version 1 in
-//! the old per-partition `(key, offset, len)` triples decoded through
-//! [`hamming_core::InvertedIndex::decode_legacy`]. Both still load, into
-//! engines query-for-query identical to ones saved as v3.
+//! **Version policy:** the reader accepts exactly [`SNAPSHOT_VERSION`];
+//! any other version — including the retired tagged-section layouts 1
+//! and 2 — is rejected with [`HammingError::Corrupt`] instead of being
+//! misparsed. Incompatible layout changes bump `SNAPSHOT_VERSION`.
 
 use crate::alloc::AllocatorKind;
 use crate::cn::{decode_kind, encode_kind, restore_estimator};
@@ -58,20 +51,17 @@ use hamming_core::dataset::Dataset;
 use hamming_core::error::{HammingError, Result};
 use hamming_core::io::{
     decode_dataset, decode_partitioning, encode_dataset, encode_partitioning, ByteReader, Footer,
-    OffsetWriter, SectionReader, SectionWriter,
+    OffsetWriter,
 };
 use hamming_core::project::{ProjectedDataset, Projector};
 use hamming_core::{words_for, InvertedIndex};
 use parking_lot::Mutex;
-use std::path::Path;
 
 /// Magic of a single-engine snapshot file.
 pub const ENGINE_MAGIC: [u8; 4] = *b"GPHE";
 
-/// Current snapshot format version. Readers accept `1..=SNAPSHOT_VERSION`.
-/// Version 3 is the offset-addressed layout (see the module docs and
-/// `FORMAT.md`); versions 1–2 are the older tagged-section containers
-/// and remain loadable.
+/// Snapshot format version: the offset-addressed layout (see the module
+/// docs and `FORMAT.md`). Readers accept this version only.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
 // Fixed slot indices of the v3 container (see the module-docs table).
@@ -371,23 +361,6 @@ pub(crate) fn encode_engine(g: &Gph) -> Vec<u8> {
     w.finish()
 }
 
-/// Serializes a built engine in the legacy tagged-section v2 layout.
-/// Kept (not wired to any save path) so compatibility tests can mint
-/// old-format fixtures without checked-in binary blobs.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn encode_engine_v2(g: &Gph) -> Vec<u8> {
-    let mut w = SectionWriter::new(ENGINE_MAGIC, 2);
-    w.section("dataset", &encode_dataset(&g.data));
-    w.section("partit", &encode_partitioning(&g.partitioning));
-    w.section("invindex", &g.index.encode());
-    w.section("config", &encode_config(g));
-    w.section("estkind", &encode_kind(&g.estimator_kind));
-    if let Some(state) = g.estimator.snapshot_state() {
-        w.section("eststate", &state);
-    }
-    w.finish()
-}
-
 /// Per-partition extents from the v3 `parttab` section.
 pub(crate) struct PartExtent {
     pub(crate) width: usize,
@@ -473,23 +446,8 @@ pub(crate) fn dataset_from_slab(dim: usize, n_rows: usize, slab: &[u8]) -> Resul
     Ok(ds)
 }
 
-/// Restores an engine from [`encode_engine`] bytes (any version
-/// `1..=SNAPSHOT_VERSION`).
+/// Restores an engine from [`encode_engine`] bytes.
 pub(crate) fn decode_engine(bytes: &[u8]) -> Result<Gph> {
-    // Dispatch on the header version: v3+ is offset-addressed, v1/v2 are
-    // tagged-section containers. The chosen parser re-validates the
-    // version range, so a forged header cannot select a misparse.
-    if bytes.len() >= 8
-        && bytes[..4] == ENGINE_MAGIC
-        && u32::from_le_bytes(bytes[4..8].try_into().unwrap()) >= 3
-    {
-        decode_engine_v3(bytes)
-    } else {
-        decode_engine_legacy(bytes)
-    }
-}
-
-fn decode_engine_v3(bytes: &[u8]) -> Result<Gph> {
     let f = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, bytes)?;
     if f.n_slots() != N_ENGINE_SLOTS {
         return Err(HammingError::Corrupt(format!(
@@ -544,26 +502,9 @@ fn decode_engine_v3(bytes: &[u8]) -> Result<Gph> {
     assemble_engine(data, partitioning, index, cfg, estimator_kind, est_state)
 }
 
-fn decode_engine_legacy(bytes: &[u8]) -> Result<Gph> {
-    let r = SectionReader::parse(ENGINE_MAGIC, 2, bytes)?;
-    let data = decode_dataset(r.section("dataset")?)?;
-    let partitioning = decode_partitioning(r.section("partit")?)?;
-    let cfg = decode_config(r.section("config")?)?;
-    let index_bytes = r.section("invindex")?;
-    let index = if r.version() >= 2 {
-        InvertedIndex::decode(index_bytes)?
-    } else {
-        // v1 snapshots stored hash-map-ordered (key, range) triples; the
-        // legacy decoder canonicalizes them into the CSR layout.
-        InvertedIndex::decode_legacy(index_bytes)?
-    };
-    let estimator_kind = decode_kind(r.section("estkind")?)?;
-    assemble_engine(data, partitioning, index, cfg, estimator_kind, r.get("eststate"))
-}
-
-/// Cross-validates the decoded pieces and assembles the engine. Shared
-/// by the offset-addressed and tagged-section load paths so both apply
-/// identical splice checks.
+/// Cross-validates the decoded pieces and assembles the engine, so a
+/// container whose sections CRC-check but come from different engines
+/// (a splice) is rejected.
 fn assemble_engine(
     data: Dataset,
     partitioning: hamming_core::Partitioning,
@@ -623,16 +564,6 @@ fn assemble_engine(
         build_stats: cfg.build_stats,
         scratch_pool: Mutex::new(Vec::new()),
     })
-}
-
-/// Writes `bytes` to `path` via a same-directory temp file + rename, so
-/// a crashed save can never leave a half-written snapshot behind under
-/// the final name.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -760,6 +691,30 @@ mod tests {
                 Ok(_) => panic!("flip at {i} went undetected"),
             }
         }
+        // Headers claiming the retired tagged-section versions 1 and 2,
+        // both as a legacy-shaped prefix (magic, version, section count,
+        // first tag) and as the current container relabelled with its
+        // footer CRC resealed, so only the version check can reject it.
+        for v in [1u32, 2] {
+            let mut legacy = ENGINE_MAGIC.to_vec();
+            legacy.extend_from_slice(&v.to_le_bytes());
+            legacy.extend_from_slice(&6u32.to_le_bytes());
+            legacy.extend_from_slice(b"dataset ");
+            let mut relabelled = bytes.clone();
+            let n = relabelled.len();
+            relabelled[4..8].copy_from_slice(&v.to_le_bytes());
+            relabelled[n - 20..n - 16].copy_from_slice(&v.to_le_bytes());
+            let crc =
+                hamming_core::io::crc32(&relabelled[n - Footer::footer_len(N_ENGINE_SLOTS)..n - 8]);
+            relabelled[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
+            for bad in [legacy, relabelled] {
+                match Gph::from_bytes(&bad) {
+                    Err(HammingError::Corrupt(_)) => {}
+                    Err(other) => panic!("v{v} header: unexpected error kind {other}"),
+                    Ok(_) => panic!("v{v} header was accepted"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -768,27 +723,26 @@ mod tests {
         // belongs to a different partitioning; the cross-check must
         // reject the splice instead of letting a query panic.
         let ds = random_dataset(32, 80, 19);
-        let a = encode_engine_v2(
-            &Gph::build(
-                ds.clone(),
-                &GphConfig { strategy: PartitionStrategy::Original, ..GphConfig::new(2, 4) },
-            )
-            .unwrap(),
-        );
-        let b = encode_engine_v2(
-            &Gph::build(
-                ds,
-                &GphConfig { strategy: PartitionStrategy::Original, ..GphConfig::new(4, 4) },
-            )
-            .unwrap(),
-        );
-        let ra = SectionReader::parse(ENGINE_MAGIC, 2, &a).unwrap();
-        let rb = SectionReader::parse(ENGINE_MAGIC, 2, &b).unwrap();
-        let mut w = SectionWriter::new(ENGINE_MAGIC, 2);
-        for tag in ["dataset", "partit", "invindex", "config", "estkind"] {
-            w.section(tag, rb.section(tag).unwrap());
+        let build = |m| {
+            let cfg = GphConfig { strategy: PartitionStrategy::Original, ..GphConfig::new(m, 4) };
+            Gph::build(ds.clone(), &cfg).unwrap().to_bytes()
+        };
+        let (a, b) = (build(2), build(4));
+        let fa = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, &a).unwrap();
+        let fb = Footer::parse_bytes(ENGINE_MAGIC, SNAPSHOT_VERSION, &b).unwrap();
+        let mut w = OffsetWriter::new(ENGINE_MAGIC, SNAPSHOT_VERSION);
+        for slot in 0..N_ENGINE_SLOTS {
+            let payload = if slot == SLOT_ESTSTATE {
+                fa.payload(&a, slot).unwrap()
+            } else {
+                fb.payload(&b, slot).unwrap()
+            };
+            if slot >= SLOT_ROWS {
+                w.aligned_section(payload);
+            } else {
+                w.section(payload);
+            }
         }
-        w.section("eststate", ra.section("eststate").unwrap());
         match Gph::from_bytes(&w.finish()) {
             Err(HammingError::Corrupt(msg)) => {
                 assert!(msg.contains("partition"), "{msg}")
@@ -856,57 +810,6 @@ mod tests {
         for cut in (0..bytes.len()).step_by(7) {
             assert!(decode_gph_config(&bytes[..cut]).is_err(), "cut={cut}");
         }
-    }
-
-    #[test]
-    fn version1_snapshots_load_through_the_legacy_path() {
-        // Reconstruct what a pre-CSR writer produced: a version-1
-        // container whose `invindex` section holds the old
-        // (key, offset, len)-triple encoding. Loading it must succeed and
-        // give an engine query-for-query identical to the v3 round-trip.
-        let ds = random_dataset(48, 200, 22);
-        let queries = random_dataset(48, 6, 23);
-        let mut cfg = GphConfig::new(3, 8);
-        cfg.strategy = PartitionStrategy::RandomShuffle { seed: 9 };
-        let built = Gph::build(ds, &cfg).unwrap();
-        let v2 = encode_engine_v2(&built);
-        let r = SectionReader::parse(ENGINE_MAGIC, 2, &v2).unwrap();
-        assert_eq!(r.version(), 2, "the v2 writer stamps version 2");
-        let mut w = SectionWriter::new(ENGINE_MAGIC, 1);
-        for tag in ["dataset", "partit", "config", "estkind"] {
-            w.section(tag, r.section(tag).unwrap());
-        }
-        w.section("invindex", &built.index.encode_legacy());
-        if let Some(state) = r.get("eststate") {
-            w.section("eststate", state);
-        }
-        let v1 = w.finish();
-        assert_ne!(v1, v2, "the two formats differ on the wire");
-
-        let loaded = Gph::from_bytes(&v1).unwrap();
-        assert_engines_agree(&built, &loaded, &queries, &[0, 4, 8]);
-        // Saving the migrated engine re-emits the canonical v3 bytes.
-        assert_eq!(loaded.to_bytes(), built.to_bytes());
-    }
-
-    #[test]
-    fn version2_snapshots_load_through_the_legacy_path() {
-        // A v2 (tagged-section, CSR) snapshot loads into an engine
-        // query-identical to the v3 round-trip, and re-saving migrates
-        // it to the offset-addressed layout.
-        let ds = random_dataset(48, 150, 30);
-        let queries = random_dataset(48, 6, 31);
-        let mut cfg = GphConfig::new(3, 8);
-        cfg.strategy = PartitionStrategy::RandomShuffle { seed: 4 };
-        let built = Gph::build(ds, &cfg).unwrap();
-        let v2 = encode_engine_v2(&built);
-        let v3 = built.to_bytes();
-        assert_ne!(v2, v3);
-        assert_eq!(u32::from_le_bytes(v3[4..8].try_into().unwrap()), 3);
-
-        let loaded = Gph::from_bytes(&v2).unwrap();
-        assert_engines_agree(&built, &loaded, &queries, &[0, 4, 8]);
-        assert_eq!(loaded.to_bytes(), v3);
     }
 
     #[test]

@@ -568,8 +568,19 @@ fn worker_loop(
 
         let now = Instant::now();
         conns.retain(|_, conn| {
-            pump_out(conn, &shared.counters, &cfg);
-            try_flush(conn);
+            // Refill and flush until the socket pushes back, the
+            // connection dies, or the head slot is unresolved: a flush
+            // that empties the buffer while resolved slots wait behind
+            // the cap would otherwise leave nothing registered for
+            // POLLOUT, stalling the connection for a whole poll timeout.
+            loop {
+                pump_out(conn, &shared.counters, &cfg);
+                try_flush(conn);
+                let head_ready = conn.out.front().is_some_and(|s| s.response.is_some());
+                if conn.dead || conn.buffered_write() > 0 || !head_ready {
+                    break;
+                }
+            }
             if conn.dead || conn.finished() {
                 let _ = conn.stream.shutdown(Shutdown::Both);
                 shared.counters.connections_active.dec();

@@ -25,7 +25,6 @@
 
 use crate::NetError;
 use gph_obs::QueryTrace;
-use gph_serve::ServiceSnapshotStats;
 use hamming_core::io::{ByteReader, Crc32};
 use std::io::Read;
 
@@ -57,8 +56,11 @@ pub const OP_INSERT: u8 = 0x05;
 pub const OP_DELETE: u8 = 0x06;
 /// Op code for [`Request::Upsert`].
 pub const OP_UPSERT: u8 = 0x07;
-/// Op code for [`Request::Stats`] / [`Response::Stats`].
-pub const OP_STATS: u8 = 0x08;
+/// Op codes retired from the protocol and never to be reused. `0x08`
+/// was `Stats`; its counters are read from the [`Request::Metrics`]
+/// exposition instead. Servers answer a retired op with a typed
+/// [`WireError::Unsupported`] (see [`Request::Retired`]).
+pub const RETIRED_OPCODES: [u8; 1] = [0x08];
 /// Op code for [`Response::Mutation`] (answers insert/delete/upsert).
 pub const OP_MUTATION: u8 = 0x09;
 /// Op code for [`Request::Metrics`] / [`Response::Metrics`].
@@ -251,8 +253,10 @@ pub enum Request {
         /// The row's raw words.
         row: Vec<u64>,
     },
-    /// Fetch the server's index shape and service counters.
-    Stats,
+    /// A request for one of the [`RETIRED_OPCODES`] (empty payload).
+    /// Decoded rather than rejected so the server can answer it with a
+    /// typed [`WireError::Unsupported`] and keep the connection.
+    Retired(u8),
     /// Fetch the server's full Prometheus text exposition.
     Metrics,
     /// Range search that always runs traced and returns its own
@@ -445,19 +449,6 @@ pub enum Response {
     Batch(Vec<SearchEntry>),
     /// Answer to insert/delete/upsert.
     Mutation(WireMutation),
-    /// Answer to [`Request::Stats`].
-    Stats {
-        /// Live rows in the index.
-        rows: u64,
-        /// Index dimensionality.
-        dim: u32,
-        /// The index's maximum supported threshold.
-        tau_max: u32,
-        /// Shard count.
-        shards: u32,
-        /// Service + cache + admission counters.
-        stats: ServiceSnapshotStats,
-    },
     /// Answer to [`Request::Metrics`]: the Prometheus text exposition.
     Metrics {
         /// Exposition-format metrics text.
@@ -549,7 +540,7 @@ fn request_opcode(req: &Request) -> u8 {
         Request::Insert { .. } => OP_INSERT,
         Request::Delete { .. } => OP_DELETE,
         Request::Upsert { .. } => OP_UPSERT,
-        Request::Stats => OP_STATS,
+        Request::Retired(opcode) => *opcode,
         Request::Metrics => OP_METRICS,
         Request::TracedSearch { .. } => OP_TRACED_SEARCH,
         Request::AggregateMetrics => OP_AGGREGATE_METRICS,
@@ -567,7 +558,6 @@ fn response_opcode(resp: &Response) -> u8 {
         Response::TopK { .. } => OP_TOPK,
         Response::Batch(_) => OP_BATCH,
         Response::Mutation(_) => OP_MUTATION,
-        Response::Stats { .. } => OP_STATS,
         Response::Metrics { .. } => OP_METRICS,
         Response::TracedSearch { .. } => OP_TRACED_SEARCH,
         Response::AggregateMetrics { .. } => OP_AGGREGATE_METRICS,
@@ -582,7 +572,7 @@ fn response_opcode(resp: &Response) -> u8 {
 fn encode_request_payload(req: &Request, buf: &mut Vec<u8>) {
     match req {
         Request::Ping
-        | Request::Stats
+        | Request::Retired(_)
         | Request::Metrics
         | Request::GetManifest
         | Request::AggregateMetrics
@@ -683,13 +673,6 @@ fn encode_response_payload(resp: &Response, buf: &mut Vec<u8>) {
             }
             WireMutation::NotFound => buf.push(1),
         },
-        Response::Stats { rows, dim, tau_max, shards, stats } => {
-            put_u64(buf, *rows);
-            put_u32(buf, *dim);
-            put_u32(buf, *tau_max);
-            put_u32(buf, *shards);
-            stats.encode_into(buf);
-        }
         Response::Metrics { text } => put_str(buf, text),
         Response::AggregateMetrics { merged, nodes } => {
             put_str(buf, merged);
@@ -824,7 +807,7 @@ fn decode_request_payload(opcode: u8, payload: &[u8]) -> Result<Request, NetErro
     let mut r = ByteReader::new(payload);
     let req = match opcode {
         OP_PING => Request::Ping,
-        OP_STATS => Request::Stats,
+        op if RETIRED_OPCODES.contains(&op) => Request::Retired(op),
         OP_METRICS => Request::Metrics,
         OP_SEARCH => {
             let tau = r.u32("search tau")?;
@@ -956,13 +939,6 @@ fn decode_response_payload(opcode: u8, payload: &[u8]) -> Result<Response, NetEr
             }
             1 => Response::Mutation(WireMutation::NotFound),
             other => return Err(proto_err(format!("unknown mutation tag {other}"))),
-        },
-        OP_STATS => Response::Stats {
-            rows: r.u64("stats rows")?,
-            dim: r.u32("stats dim")?,
-            tau_max: r.u32("stats tau_max")?,
-            shards: r.u32("stats shards")?,
-            stats: ServiceSnapshotStats::decode_from(&mut r)?,
         },
         OP_METRICS => Response::Metrics { text: read_str(&mut r, "metrics text")? },
         OP_AGGREGATE_METRICS => {
@@ -1224,7 +1200,7 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         roundtrip_request(0, Request::Ping);
-        roundtrip_request(7, Request::Stats);
+        roundtrip_request(7, Request::Retired(0x08));
         roundtrip_request(1, Request::Search { tau: 8, query: vec![0xDEAD, 0xBEEF] });
         roundtrip_request(2, Request::TopK { k: 5, query: vec![1, 2, 3] });
         roundtrip_request(
@@ -1358,16 +1334,6 @@ mod tests {
         );
         roundtrip_response(7, Response::Mutation(WireMutation::Applied { replaced: true }));
         roundtrip_response(8, Response::Mutation(WireMutation::NotFound));
-        roundtrip_response(
-            9,
-            Response::Stats {
-                rows: 1000,
-                dim: 128,
-                tau_max: 16,
-                shards: 4,
-                stats: Default::default(),
-            },
-        );
         roundtrip_response(
             11,
             Response::Metrics { text: "# HELP gph_up Up.\n# TYPE gph_up gauge\ngph_up 1\n".into() },

@@ -155,15 +155,8 @@ impl RequestHandler for ServiceHandler {
     fn handle(&self, req: Request) -> Reply {
         match req {
             Request::Ping => Reply::Now(Response::Pong),
-            Request::Stats => {
-                let index = self.service.index();
-                Reply::Now(Response::Stats {
-                    rows: index.len() as u64,
-                    dim: index.dim() as u32,
-                    tau_max: self.tau_max,
-                    shards: index.num_shards() as u32,
-                    stats: self.service.snapshot_stats(),
-                })
+            Request::Retired(op) => {
+                unsupported(format!("op {op:#04x} is retired; scrape Metrics instead"))
             }
             Request::Metrics => Reply::Now(Response::Metrics { text: self.service.metrics_text() }),
             Request::Search { tau, query } => {

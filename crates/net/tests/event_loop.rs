@@ -69,7 +69,9 @@ fn slow_reader_backpressure_respects_the_write_buffer_cap() {
         jammed.write_buffer_peak
     );
 
-    // Now drain: every response arrives complete and in request order.
+    // Now drain: every response arrives complete and in request order,
+    // with no poll-timeout stall between write-buffer refills.
+    let drain = Instant::now();
     for id in 1..=REQUESTS {
         let (got_id, msg, _) =
             read_frame(&mut sock).expect("clean frame").expect("server still serving");
@@ -81,6 +83,8 @@ fn slow_reader_backpressure_respects_the_write_buffer_cap() {
             other => panic!("response {id} was {other:?}"),
         }
     }
+    let drained = drain.elapsed();
+    assert!(drained < Duration::from_secs(10), "draining {REQUESTS} responses took {drained:?}");
     let stats = server.shutdown();
     assert_eq!(stats.responses, REQUESTS + 1, "all requests answered (plus the publish)");
     assert!((stats.write_buffer_peak as usize) < CAP + frame_len);

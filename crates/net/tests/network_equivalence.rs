@@ -6,6 +6,7 @@
 
 use gph::engine::GphConfig;
 use gph::partition_opt::PartitionStrategy;
+use gph_net::protocol::{encode_request, read_frame, Message, Request, Response};
 use gph_net::{BatchEntry, GphClient, NetError, NetServer, ServerConfig, WireError, WireMutation};
 use gph_serve::{
     AdmissionConfig, Outcome, OverBudgetPolicy, QueryService, ServiceConfig, ShardedIndex,
@@ -14,6 +15,7 @@ use hamming_core::distance::hamming;
 use hamming_core::{BitVector, Dataset};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::io::Write;
 use std::sync::Arc;
 
 const DIM: usize = 64;
@@ -148,15 +150,15 @@ fn four_pipelined_clients_match_the_in_process_service() {
     }
 
     // After the storm: the fleet holds exactly the original rows again,
-    // and a remote stats round-trip agrees with the in-process state.
+    // and a remote metrics scrape agrees with the in-process state.
     assert_eq!(service.index().len(), 400);
     let client = GphClient::connect(addr).unwrap();
-    let remote = client.stats().unwrap();
-    assert_eq!(remote.rows, 400);
-    assert_eq!(remote.dim, DIM as u32);
-    assert_eq!(remote.shards, 3);
-    assert_eq!(remote.tau_max, service.index().tau_max() as u32);
-    assert!(remote.stats.service.responses > 0);
+    let remote = gph_obs::Exposition::parse(&client.metrics().unwrap());
+    assert_eq!(remote.value("gph_index_rows"), Some(400.0));
+    assert_eq!(remote.value("gph_index_dim"), Some(DIM as f64));
+    assert_eq!(remote.value("gph_index_shards"), Some(3.0));
+    assert_eq!(remote.value("gph_index_tau_max"), Some(service.index().tau_max() as f64));
+    assert!(remote.value("gph_responses_total").unwrap() > 0.0);
     assert!(client.ping().is_ok());
 
     let stats = server.shutdown();
@@ -277,8 +279,21 @@ fn structural_misuse_gets_unsupported_errors_and_the_connection_survives() {
         Err(NetError::Remote(WireError::Unsupported(_))) => {}
         other => panic!("oversized tau gave {other:?}"),
     }
-    // The connection is still usable afterwards: these were typed
+    // A retired op code (0x08, once `Stats`) on a well-formed frame.
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    for (id, req) in [(1, Request::Retired(0x08)), (2, Request::Ping)] {
+        raw.write_all(&encode_request(id, &req)).unwrap();
+    }
+    match read_frame(&mut raw).unwrap() {
+        Some((1, Message::Response(Response::Error(WireError::Unsupported(_))), _)) => {}
+        other => panic!("retired op 0x08 gave {other:?}"),
+    }
+    // The connections are still usable afterwards: these were typed
     // errors, not framing failures.
+    match read_frame(&mut raw).unwrap() {
+        Some((2, Message::Response(Response::Pong), _)) => {}
+        other => panic!("ping after the retired op gave {other:?}"),
+    }
     let ok = client.search(ds.row(0), TAU).unwrap();
     assert!(!ok.ids.is_empty());
     assert_eq!(server.stats().protocol_errors, 0);

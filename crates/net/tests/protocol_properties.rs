@@ -8,47 +8,10 @@ use gph_net::protocol::{
     decode_frame, encode_request, encode_response, read_frame, Message, NodeHealth, NodeScrape,
     Request, Response, SearchEntry, WireError, WireMutation,
 };
-use gph_serve::{AdmissionStats, CacheStats, ServiceSnapshotStats, ServiceStats};
 use proptest::prelude::*;
 
 fn words(max: usize) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 1..=max)
-}
-
-/// Deterministic stats from one seed (floats kept finite so equality
-/// comparisons stay meaningful; byte-exactness holds regardless).
-fn stats_from_seed(seed: u64) -> ServiceSnapshotStats {
-    let mut x = seed;
-    let mut next = move || {
-        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-        x >> 17
-    };
-    ServiceSnapshotStats {
-        service: ServiceStats {
-            responses: next(),
-            executed: next(),
-            batches: next(),
-            queue_rejections: next(),
-            mutations: next(),
-            qps: next() as f64 / 128.0,
-            latency_p50_ns: next(),
-            latency_p95_ns: next(),
-            latency_p99_ns: next(),
-            latency_mean_ns: next() as f64 / 64.0,
-            latency_max_ns: next(),
-            candidates_per_query: next() as f64 / 32.0,
-            scanned_per_query: next() as f64 / 24.0,
-            results_per_query: next() as f64 / 16.0,
-        },
-        cache: CacheStats {
-            hits: next(),
-            misses: next(),
-            invalidations: next(),
-            len: next() as usize,
-            capacity: next() as usize,
-        },
-        admission: AdmissionStats { admitted: next(), degraded: next(), rejected: next() },
-    }
 }
 
 fn request_strategy() -> impl Strategy<Value = Request> {
@@ -70,7 +33,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             9 => Request::AggregateMetrics,
             10 => Request::Health,
             11 => Request::SlowQueries { max: a },
-            _ => Request::Stats,
+            _ => Request::Retired(0x08),
         }
     })
 }
@@ -180,13 +143,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                 } else {
                     WireMutation::NotFound
                 }),
-                5 => Response::Stats {
-                    rows: seed,
-                    dim: a,
-                    tau_max: b,
-                    shards: a ^ b,
-                    stats: stats_from_seed(seed),
-                },
+                5 => Response::ManifestAck { version: seed },
                 6 => Response::Metrics {
                     text: format!("# HELP gph_x_{a} X.\n# TYPE gph_x_{a} counter\ngph_x_{a} {b}\n"),
                 },

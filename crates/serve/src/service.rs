@@ -12,7 +12,7 @@
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionStats};
 use crate::cache::{CacheKey, CacheStats, CachedResult, ResultCache};
 use crate::shard::ShardedIndex;
-use crate::stats::{ServiceMetrics, ServiceSnapshotStats, ServiceStats};
+use crate::stats::{ServiceMetrics, ServiceStats};
 use crossbeam::channel;
 use gph::coldstore::StorageMode;
 use gph_obs::{Gauge, MetricsRegistry, QueryTrace, TraceConfig, Tracer};
@@ -228,6 +228,9 @@ struct ScrapeGauges {
     admission_rejected: Gauge,
     index_rows: Gauge,
     index_shards: Gauge,
+    index_dim: Gauge,
+    index_tau_max: Gauge,
+    uptime_seconds: Gauge,
     pagecache_hits: Gauge,
     pagecache_misses: Gauge,
     pagecache_evictions: Gauge,
@@ -254,6 +257,9 @@ impl ScrapeGauges {
             admission_rejected: g("gph_admission_rejected", "Queries rejected by admission."),
             index_rows: g("gph_index_rows", "Live rows across every shard."),
             index_shards: g("gph_index_shards", "Shards in the serving index."),
+            index_dim: g("gph_index_dim", "Dimensionality of the indexed vectors."),
+            index_tau_max: g("gph_index_tau_max", "Largest threshold the index serves."),
+            uptime_seconds: g("gph_uptime_seconds", "Whole seconds since the service started."),
             pagecache_hits: g(
                 "gph_pagecache_hits",
                 "Page-cache hits across file-backed shards (0 when fully resident).",
@@ -710,16 +716,6 @@ impl QueryService {
         self.shared.admission.stats()
     }
 
-    /// One-call aggregate of service, cache, and admission counters —
-    /// the encodable bundle served by the network protocol's `Stats` op.
-    pub fn snapshot_stats(&self) -> ServiceSnapshotStats {
-        ServiceSnapshotStats {
-            service: self.stats(),
-            cache: self.cache_stats(),
-            admission: self.admission_stats(),
-        }
-    }
-
     /// The build/restore generation stamped via
     /// [`ServiceConfig::generation`].
     pub fn generation(&self) -> u64 {
@@ -756,8 +752,8 @@ impl QueryService {
     }
 
     /// Renders the full Prometheus text exposition: refreshes the
-    /// scrape-time gauges (cache, admission, index shape) from their
-    /// live snapshots, then renders every registered series.
+    /// scrape-time gauges (cache, admission, index shape, uptime) from
+    /// their live snapshots, then renders every registered series.
     pub fn metrics_text(&self) -> String {
         let cache = self.shared.cache.stats();
         self.shared.gauges.cache_hits.set(cache.hits);
@@ -771,6 +767,9 @@ impl QueryService {
         self.shared.gauges.admission_rejected.set(admission.rejected);
         self.shared.gauges.index_rows.set(self.shared.index.len() as u64);
         self.shared.gauges.index_shards.set(self.shared.index.num_shards() as u64);
+        self.shared.gauges.index_dim.set(self.shared.index.dim() as u64);
+        self.shared.gauges.index_tau_max.set(self.shared.index.tau_max() as u64);
+        self.shared.gauges.uptime_seconds.set(self.shared.metrics.uptime().as_secs());
         let pc = self.shared.index.page_cache_stats().unwrap_or_default();
         self.shared.gauges.pagecache_hits.set(pc.hits);
         self.shared.gauges.pagecache_misses.set(pc.misses);
@@ -1248,6 +1247,9 @@ mod tests {
         assert!(text.contains("\ngph_cache_hits 1\n"));
         assert!(text.contains(&format!("\ngph_index_rows {}\n", index.len())));
         assert!(text.contains(&format!("\ngph_index_shards {}\n", index.num_shards())));
+        assert!(text.contains(&format!("\ngph_index_dim {}\n", index.dim())));
+        assert!(text.contains(&format!("\ngph_index_tau_max {}\n", index.tau_max())));
+        assert!(text.contains("\ngph_uptime_seconds "));
         // A fully resident fleet still exposes the page-cache series,
         // pinned at zero.
         assert!(text.contains("\ngph_pagecache_hits 0\n"));

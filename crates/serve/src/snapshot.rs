@@ -9,15 +9,15 @@
 //! <dir>/shard-<slot>.gphs one SegmentedGph snapshot per non-empty slot
 //! ```
 //!
-//! The manifest (format v2; v1 predates live updates and is rejected)
-//! records the shard count, the id-hash fingerprint (a probe value
+//! The manifest (format v3, an offset-addressed container with two
+//! slots, `shards` and `config`; any other version is rejected) records the shard count, the id-hash fingerprint (a probe value
 //! through [`mix64`], so a changed hash function is detected instead of
 //! silently misrouting records), the build config (so restored shards
 //! keep sealing and compacting with the same recipe), and for every
 //! non-empty shard slot its file's CRC-32 and live-row count. Shard files
 //! carry their ids and tombstones themselves — pending deletes
 //! round-trip — and restore verifies that every live id actually hashes
-//! to the slot that stored it. Shard files are section-framed and
+//! to the slot that stored it. Shard files are offset-addressed and
 //! checksummed (see [`gph::segment`]), so corruption anywhere surfaces
 //! as [`HammingError::Corrupt`].
 
@@ -27,17 +27,21 @@ use gph::coldstore::StorageMode;
 use gph::segment::{SegmentConfig, SegmentedGph};
 use gph::snapshot::{decode_gph_config, encode_gph_config};
 use hamming_core::error::{HammingError, Result};
-use hamming_core::io::{crc32, ByteReader, SectionReader, SectionWriter};
+use hamming_core::io::{crc32, write_atomic, ByteReader, Footer, OffsetWriter};
 use hamming_core::key::mix64;
 use std::path::{Path, PathBuf};
 
 /// Magic of the shard-manifest file.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"GPHM";
 
-/// Current manifest format version. Version 1 (frozen shards, dense ids)
-/// is no longer readable: those fleets predate live updates and must be
-/// rebuilt.
-pub const MANIFEST_VERSION: u32 = 2;
+/// Manifest format version, shared with every other offset-addressed
+/// format (GPHE, GPHS). Readers accept this version only.
+pub const MANIFEST_VERSION: u32 = 3;
+
+// GPHM slot indices (see `FORMAT.md`).
+const SLOT_SHARDS: usize = 0;
+const SLOT_CONFIG: usize = 1;
+const N_MANIFEST_SLOTS: usize = 2;
 
 /// File name of the manifest inside a snapshot directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -96,14 +100,15 @@ fn encode_manifest(m: &ShardManifest, cfg: &gph::GphConfig, seg_cfg: SegmentConf
         body.put_u64_le(e.rows as u64);
         body.put_u32_le(e.crc);
     }
-    let mut w = SectionWriter::new(MANIFEST_MAGIC, MANIFEST_VERSION);
-    w.section("shards", &body);
+    let mut w = OffsetWriter::new(MANIFEST_MAGIC, MANIFEST_VERSION);
+    w.section(&body); // SLOT_SHARDS
+
     // The build recipe for empty slots (non-empty slots carry their own
     // config inside the shard file).
     let mut cfg_body = encode_gph_config(cfg);
     cfg_body.put_u64_le(seg_cfg.seal_rows as u64);
     cfg_body.put_u64_le(seg_cfg.max_sealed as u64);
-    w.section("config", &cfg_body);
+    w.section(&cfg_body); // SLOT_CONFIG
     w.finish()
 }
 
@@ -116,13 +121,14 @@ fn encode_manifest(m: &ShardManifest, cfg: &gph::GphConfig, seg_cfg: SegmentConf
 const MAX_SHARD_SLOTS: u64 = 1 << 20;
 
 fn decode_manifest(bytes: &[u8]) -> Result<(ShardManifest, gph::GphConfig, SegmentConfig)> {
-    let sections = SectionReader::parse(MANIFEST_MAGIC, MANIFEST_VERSION, bytes)?;
-    if sections.version() < 2 {
-        return Err(HammingError::Corrupt(
-            "manifest version 1 predates live updates; rebuild the snapshot".into(),
-        ));
+    let f = Footer::parse_bytes(MANIFEST_MAGIC, MANIFEST_VERSION, bytes)?;
+    if f.n_slots() != N_MANIFEST_SLOTS {
+        return Err(HammingError::Corrupt(format!(
+            "manifest has {} sections, expected {N_MANIFEST_SLOTS}",
+            f.n_slots()
+        )));
     }
-    let mut r = ByteReader::new(sections.section("shards")?);
+    let mut r = ByteReader::new(f.payload(bytes, SLOT_SHARDS)?);
     let n_shards_raw = r.u64("shard count")?;
     if n_shards_raw == 0 || n_shards_raw > MAX_SHARD_SLOTS {
         return Err(HammingError::Corrupt(format!(
@@ -174,7 +180,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<(ShardManifest, gph::GphConfig, Segme
             HammingError::Corrupt(format!("shard rows do not sum to the declared {len} records"))
         })?;
     debug_assert_eq!(total, len);
-    let cfg_bytes = sections.section("config")?;
+    let cfg_bytes = f.payload(bytes, SLOT_CONFIG)?;
     if cfg_bytes.len() < 16 {
         return Err(HammingError::Corrupt("manifest config section truncated".into()));
     }
@@ -194,13 +200,6 @@ fn decode_manifest(bytes: &[u8]) -> Result<(ShardManifest, gph::GphConfig, Segme
 /// loading any shard engines) — what `gph-store info` prints.
 pub fn read_manifest<P: AsRef<Path>>(dir: P) -> Result<ShardManifest> {
     decode_manifest(&std::fs::read(dir.as_ref().join(MANIFEST_FILE))?).map(|(m, _, _)| m)
-}
-
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 impl ShardedIndex {
@@ -512,6 +511,26 @@ mod tests {
         bytes[last] ^= 0x01;
         std::fs::write(&mpath, &bytes).unwrap();
         assert!(matches!(ShardedIndex::restore(&dir), Err(HammingError::Corrupt(_))));
+        // A header claiming the retired tagged-section GPHM v2, both as
+        // a legacy-shaped prefix and as the current manifest relabelled
+        // with its footer CRC resealed, is rejected too.
+        built.snapshot(&dir).unwrap();
+        let good = std::fs::read(&mpath).unwrap();
+        let mut legacy = MANIFEST_MAGIC.to_vec();
+        legacy.extend_from_slice(&2u32.to_le_bytes());
+        legacy.extend_from_slice(&2u32.to_le_bytes());
+        legacy.extend_from_slice(b"shards  ");
+        let mut relabelled = good.clone();
+        let n = relabelled.len();
+        relabelled[4..8].copy_from_slice(&2u32.to_le_bytes());
+        relabelled[n - 20..n - 16].copy_from_slice(&2u32.to_le_bytes());
+        let crc = crc32(&relabelled[n - Footer::footer_len(N_MANIFEST_SLOTS)..n - 8]);
+        relabelled[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
+        for bad in [legacy, relabelled] {
+            std::fs::write(&mpath, &bad).unwrap();
+            assert!(matches!(ShardedIndex::restore(&dir), Err(HammingError::Corrupt(_))));
+            assert!(matches!(read_manifest(&dir), Err(HammingError::Corrupt(_))));
+        }
         // Restore the good manifest but delete a shard file.
         built.snapshot(&dir).unwrap();
         std::fs::remove_file(dir.join(manifest.shards[1].file_name())).unwrap();

@@ -1,4 +1,18 @@
-//! `gph-store` — build, persist, and warm-start GPH indexes.
+//! `gph-store` — the suite's command line: dataset tooling, and building,
+//! persisting, warm-starting and serving GPH indexes.
+//!
+//! Dataset tooling over the `HAMD` dataset and `HAMP` partitioning
+//! formats (`hamming_core::io`); `.fvecs` float features are binarized
+//! with random hyperplanes:
+//!
+//! ```text
+//! gph-store generate  --profile gist --rows 20000 --out data.hamd [--seed s]
+//! gph-store binarize  --fvecs feats.fvecs --bits 128 --out data.hamd [--seed s]
+//! gph-store info      --data data.hamd
+//! gph-store partition --data data.hamd --m 10 --tau-max 32 --out part.hamp
+//! gph-store query     --data data.hamd --queries q.hamd --tau 8 [--partitioning part.hamp]
+//! gph-store join      --data data.hamd --tau 4 [--threads 4] [--limit n]
+//! ```
 //!
 //! The build-once / reload-many lifecycle of the snapshot subsystem:
 //!
@@ -53,27 +67,35 @@
 //! exposition (unreachable nodes report as stale); `fleettop` prints a
 //! one-shot per-node health summary from two federated scrapes.
 //!
+//! `query` takes exactly one source: a snapshot (`--index`), a raw
+//! dataset indexed in memory for the run (`--data`), a server
+//! (`--connect`), or a fleet (`--metastore`).
+//!
 //! `build` runs the expensive offline phase (partition optimization,
 //! index + estimator construction, one engine per shard) and snapshots
-//! the fleet; every other command restores from the snapshot and never
-//! re-optimizes. `add` and `del` mutate the restored fleet through the
-//! segmented live-update path (memtable append / tombstone flip — at
-//! most one segment build when a seal triggers) and re-snapshot in
-//! place. `serve --listen` exposes the warm-started service over TCP
+//! the fleet; every other snapshot command restores from the snapshot
+//! and never re-optimizes. `add` and `del` mutate the restored fleet
+//! through the segmented live-update path (memtable append / tombstone
+//! flip — at most one segment build when a seal triggers) and
+//! re-snapshot in place. `serve --listen` exposes the warm-started service over TCP
 //! (the `GPHN` protocol); `query --connect`, `stats --connect`, and
-//! `metrics --connect` talk to such a server from any machine. `query
+//! `metrics --connect` talk to such a server from any machine; `stats`
+//! renders its dashboard from one scrape of the server's metrics. `query
 //! --trace` prints a per-shard, per-segment phase breakdown of each
 //! query; `metrics` prints the server's Prometheus text exposition.
 
-use gph_suite::datagen::Profile;
+use gph_suite::datagen::{binarize, Profile};
 use gph_suite::gph::coldstore::StorageMode;
-use gph_suite::gph::engine::GphConfig;
+use gph_suite::gph::engine::{Gph, GphConfig};
+use gph_suite::gph::partition_opt::PartitionStrategy;
 use gph_suite::hamming_core::io;
+use gph_suite::hamming_core::stats::DimStats;
 use gph_suite::hamming_core::Dataset;
 use gph_suite::net::{
     FleetClient, FleetConfig, FleetManifest, FleetNode, GphClient, MetastoreServer, NetServer,
     ServerConfig,
 };
+use gph_suite::obs::Exposition;
 use gph_suite::serve::{read_manifest, QueryService, ServiceConfig, ShardedIndex};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -105,6 +127,10 @@ fn main() -> ExitCode {
         opts.insert(k, "true".into());
     }
     let result = match cmd.as_str() {
+        "generate" => cmd_generate(&opts),
+        "binarize" => cmd_binarize(&opts),
+        "partition" => cmd_partition(&opts),
+        "join" => cmd_join(&opts),
         "build" => cmd_build(&opts),
         "info" => cmd_info(&opts),
         "query" => cmd_query(&opts),
@@ -136,12 +162,18 @@ fn usage() {
     eprintln!(
         "gph-store <command> [--opt value]...\n\
          commands:\n\
+         \x20 generate  --profile <name> --rows <n> --out <file.hamd> [--seed s]\n\
+         \x20 binarize  --fvecs <file.fvecs> --bits <n> --out <file.hamd> [--seed s]\n\
+         \x20 partition --data <file.hamd> --out <file.hamp> [--m m] [--tau-max t]\n\
+         \x20 join  --data <file.hamd> --tau <t> [--threads k] [--limit n]\n\
+         \x20       [--m m] [--tau-max t] [--partitioning <file.hamp>]\n\
          \x20 build --out <dir> (--data <file.hamd> | --profile <name> --rows <n>)\n\
          \x20       [--shards s] [--m m] [--tau-max t] [--seed s]\n\
          \x20       [--fleet-slots n --owned <slot,slot,...>]\n\
-         \x20 info  --index <dir>\n\
-         \x20 query (--index <dir> | --connect <addr> | --metastore <addr>) --tau <t>\n\
-         \x20       [--queries <file.hamd> | --sample n] [--topk k] [--trace]\n\
+         \x20 info  (--index <dir> | --data <file.hamd>)\n\
+         \x20 query (--index <dir> | --connect <addr> | --metastore <addr>\n\
+         \x20        | --data <file.hamd> [--m m] [--tau-max t] [--partitioning <file.hamp>])\n\
+         \x20       --tau <t> [--queries <file.hamd> | --sample n] [--topk k] [--trace]\n\
          \x20 serve --index <dir> --queries <n> --tau <t> [--workers w] [--batch b]\n\
          \x20       [--memory-budget <bytes|Nk|Nm|Ng>]\n\
          \x20 serve --index <dir> --listen <addr> [--workers w] [--duration secs]\n\
@@ -193,6 +225,102 @@ fn parse_or<T: std::str::FromStr>(
     }
 }
 
+fn load_dataset(opts: &HashMap<String, String>, k: &str) -> Result<Dataset, String> {
+    let path = need(opts, k)?;
+    io::read_dataset(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
+fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), String> {
+    check_flags(opts, &["profile", "rows", "seed", "out"])?;
+    let name = need(opts, "profile")?;
+    let profile = Profile::by_name(name).ok_or_else(|| format!("unknown profile {name}"))?;
+    let rows: usize = parse(opts, "rows")?;
+    let seed: u64 = parse_or(opts, "seed", 42)?;
+    let out = need(opts, "out")?;
+    let ds = profile.generate(rows, seed);
+    io::write_dataset(&ds, out).map_err(|e| e.to_string())?;
+    println!("wrote {rows} x {} dims to {out}", ds.dim());
+    Ok(())
+}
+
+fn cmd_binarize(opts: &HashMap<String, String>) -> Result<(), String> {
+    check_flags(opts, &["fvecs", "bits", "seed", "out"])?;
+    let fvecs = need(opts, "fvecs")?;
+    let bits: usize = parse(opts, "bits")?;
+    let seed: u64 = parse_or(opts, "seed", 7)?;
+    let out = need(opts, "out")?;
+    let x = binarize::read_fvecs(fvecs).map_err(|e| e.to_string())?;
+    let rh = binarize::RandomHyperplanes::new(x.dim, bits, seed);
+    let ds = rh.encode_all(&x);
+    io::write_dataset(&ds, out).map_err(|e| e.to_string())?;
+    println!("binarized {} x {}d floats into {} x {bits} bits -> {out}", x.len(), x.dim, ds.len());
+    Ok(())
+}
+
+/// The build config of an in-memory engine over a `dim`-dimensional
+/// dataset: `--m`, `--tau-max` (raised to `tau_floor`), and an optional
+/// fixed `--partitioning`.
+fn engine_config(
+    opts: &HashMap<String, String>,
+    dim: usize,
+    tau_floor: usize,
+) -> Result<GphConfig, String> {
+    let m: usize = parse_or(opts, "m", GphConfig::suggested_m(dim))?;
+    let tau_max: usize = parse_or(opts, "tau-max", tau_floor.max(16))?;
+    let mut cfg = GphConfig::new(m, tau_max.max(tau_floor));
+    if let Some(path) = opts.get("partitioning") {
+        let p = io::read_partitioning(path).map_err(|e| format!("reading {path}: {e}"))?;
+        cfg.strategy = PartitionStrategy::Fixed(p);
+    }
+    Ok(cfg)
+}
+
+fn build_engine(
+    data: Dataset,
+    opts: &HashMap<String, String>,
+    tau_floor: usize,
+) -> Result<Gph, String> {
+    let cfg = engine_config(opts, data.dim(), tau_floor)?;
+    Gph::build(data, &cfg).map_err(|e| e.to_string())
+}
+
+fn cmd_partition(opts: &HashMap<String, String>) -> Result<(), String> {
+    check_flags(opts, &["data", "out", "m", "tau-max"])?;
+    let ds = load_dataset(opts, "data")?;
+    let out = need(opts, "out")?;
+    let engine = build_engine(ds, opts, 0)?;
+    io::write_partitioning(engine.partitioning(), out).map_err(|e| e.to_string())?;
+    println!(
+        "partitioning ({} parts) written to {out} in {:.1}s",
+        engine.partitioning().num_parts(),
+        engine.build_stats().partition_ms as f64 / 1e3
+    );
+    Ok(())
+}
+
+fn cmd_join(opts: &HashMap<String, String>) -> Result<(), String> {
+    check_flags(opts, &["data", "tau", "threads", "limit", "m", "tau-max", "partitioning"])?;
+    let ds = load_dataset(opts, "data")?;
+    let tau: u32 = parse(opts, "tau")?;
+    let threads: usize = parse_or(opts, "threads", 1)?;
+    let limit: usize = parse_or(opts, "limit", 50)?;
+    let engine = build_engine(ds, opts, tau as usize)?;
+    let t = Instant::now();
+    let pairs = engine.self_join(tau, threads);
+    eprintln!(
+        "{} pairs within tau={tau} in {:.1} ms",
+        pairs.len(),
+        t.elapsed().as_secs_f64() * 1e3
+    );
+    for (a, b) in pairs.iter().take(limit) {
+        println!("{a}\t{b}");
+    }
+    if pairs.len() > limit {
+        println!("… ({} more; raise --limit to list)", pairs.len() - limit);
+    }
+    Ok(())
+}
+
 fn cmd_build(opts: &HashMap<String, String>) -> Result<(), String> {
     check_flags(
         opts,
@@ -210,8 +338,8 @@ fn cmd_build(opts: &HashMap<String, String>) -> Result<(), String> {
         ],
     )?;
     let out = need(opts, "out")?;
-    let ds: Dataset = if let Some(path) = opts.get("data") {
-        io::read_dataset(path).map_err(|e| format!("reading {path}: {e}"))?
+    let ds: Dataset = if opts.contains_key("data") {
+        load_dataset(opts, "data")?
     } else {
         let name =
             need(opts, "profile").map_err(|_| "need --data or --profile/--rows".to_string())?;
@@ -271,8 +399,14 @@ fn cmd_build(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_info(opts: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(opts, &["index"])?;
-    let dir = need(opts, "index")?;
+    check_flags(opts, &["index", "data"])?;
+    if opts.contains_key("data") {
+        if opts.contains_key("index") {
+            return Err("--data excludes --index".into());
+        }
+        return info_dataset(opts);
+    }
+    let dir = need(opts, "index").map_err(|_| "need --index or --data".to_string())?;
     let m = read_manifest(dir).map_err(|e| e.to_string())?;
     println!("snapshot:  {dir}");
     println!("records:   {}", m.len);
@@ -291,6 +425,31 @@ fn cmd_info(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// `info --data`: shape and per-dimension skew of a `HAMD` dataset.
+fn info_dataset(opts: &HashMap<String, String>) -> Result<(), String> {
+    let ds = load_dataset(opts, "data")?;
+    if ds.dim() == 0 {
+        return Err("the dataset has no dimensions".into());
+    }
+    let st = DimStats::compute(&ds);
+    let mut skews = st.skewness_profile();
+    skews.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    let pick = |q: f64| skews[((skews.len() - 1) as f64 * q) as usize];
+    println!("rows: {}", ds.len());
+    println!("dims: {}", ds.dim());
+    println!("payload: {:.2} MB", ds.size_bytes() as f64 / 1e6);
+    println!(
+        "skewness: mean {:.3}, p10 {:.3}, median {:.3}, p90 {:.3}, max {:.3}",
+        st.mean_skewness(),
+        pick(0.1),
+        pick(0.5),
+        pick(0.9),
+        skews.last().copied().unwrap_or(0.0)
+    );
+    println!("dims with skew > 0.3: {}", skews.iter().filter(|&&s| s > 0.3).count());
+    Ok(())
+}
+
 fn restore(opts: &HashMap<String, String>) -> Result<ShardedIndex, String> {
     let dir = need(opts, "index")?;
     let t0 = Instant::now();
@@ -304,19 +463,52 @@ fn restore(opts: &HashMap<String, String>) -> Result<ShardedIndex, String> {
     Ok(index)
 }
 
+/// `query --data`: indexes a raw dataset in memory for this run (one
+/// shard; `--tau-max` is raised to cover `--tau`).
+fn index_dataset(opts: &HashMap<String, String>, tau: u32) -> Result<ShardedIndex, String> {
+    let ds = load_dataset(opts, "data")?;
+    let cfg = engine_config(opts, ds.dim(), tau as usize)?;
+    let t0 = Instant::now();
+    let index = ShardedIndex::build(&ds, 1, &cfg).map_err(|e| e.to_string())?;
+    eprintln!("index built in {:.1}s", t0.elapsed().as_secs_f64());
+    Ok(index)
+}
+
 fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     check_flags(
         opts,
-        &["index", "connect", "metastore", "tau", "queries", "sample", "topk", "trace"],
+        &[
+            "index",
+            "connect",
+            "metastore",
+            "data",
+            "tau",
+            "queries",
+            "sample",
+            "topk",
+            "trace",
+            "m",
+            "tau-max",
+            "partitioning",
+        ],
     )?;
+    let sources = ["index", "connect", "metastore", "data"];
+    if sources.iter().filter(|k| opts.contains_key(**k)).count() != 1 {
+        return Err("query takes exactly one of --index, --connect, --metastore, --data".into());
+    }
+    if !opts.contains_key("data") {
+        if let Some(k) = ["m", "tau-max", "partitioning"].iter().find(|k| opts.contains_key(**k)) {
+            return Err(format!("--{k} applies to query --data only"));
+        }
+    }
     if let Some(addr) = opts.get("metastore") {
         return cmd_query_fleet(addr, opts);
     }
     if let Some(addr) = opts.get("connect") {
         return cmd_query_remote(addr, opts);
     }
-    let index = restore(opts)?;
     let tau: u32 = parse(opts, "tau")?;
+    let index = if opts.contains_key("data") { index_dataset(opts, tau)? } else { restore(opts)? };
     if tau as usize > index.tau_max() {
         return Err(format!("--tau {tau} exceeds the snapshot's tau_max {}", index.tau_max()));
     }
@@ -359,8 +551,8 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
 /// Loads `--queries <file>` or samples `--sample n` uniform vectors at
 /// the index's dimensionality.
 fn load_queries(opts: &HashMap<String, String>, dim: usize) -> Result<Dataset, String> {
-    let queries: Dataset = if let Some(path) = opts.get("queries") {
-        io::read_dataset(path).map_err(|e| format!("reading {path}: {e}"))?
+    let queries: Dataset = if opts.contains_key("queries") {
+        load_dataset(opts, "queries")?
     } else {
         let n: usize = parse_or(opts, "sample", 10)?;
         Profile::uniform(dim).generate(n, 0x5EED)
@@ -371,22 +563,33 @@ fn load_queries(opts: &HashMap<String, String>, dim: usize) -> Result<Dataset, S
     Ok(queries)
 }
 
+/// One `Metrics` scrape of the server at `addr`, parsed.
+fn scrape(client: &GphClient, addr: &str) -> Result<Exposition, String> {
+    let text = client.metrics().map_err(|e| format!("scraping {addr} metrics: {e}"))?;
+    Ok(Exposition::parse(&text))
+}
+
+/// A series the scrape must carry (index-shape gauges a server always
+/// exports).
+fn series(exp: &Exposition, name: &str) -> Result<u64, String> {
+    exp.value(name).map(|v| v as u64).ok_or_else(|| format!("the server exports no {name}"))
+}
+
 /// `query --connect`: the same query loop, but over the wire.
 fn cmd_query_remote(addr: &str, opts: &HashMap<String, String>) -> Result<(), String> {
-    if opts.contains_key("index") {
-        return Err("--connect and --index are mutually exclusive".into());
-    }
     let client = GphClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let remote = client.stats().map_err(|e| format!("querying {addr} stats: {e}"))?;
+    let exp = scrape(&client, addr)?;
+    let (dim, tau_max) = (series(&exp, "gph_index_dim")?, series(&exp, "gph_index_tau_max")?);
     eprintln!(
-        "connected to {addr}: {} rows x {} dims over {} shard(s), tau_max {}",
-        remote.rows, remote.dim, remote.shards, remote.tau_max
+        "connected to {addr}: {} rows x {dim} dims over {} shard(s), tau_max {tau_max}",
+        series(&exp, "gph_index_rows")?,
+        series(&exp, "gph_index_shards")?,
     );
     let tau: u32 = parse(opts, "tau")?;
-    if tau > remote.tau_max {
-        return Err(format!("--tau {tau} exceeds the server's tau_max {}", remote.tau_max));
+    if tau as u64 > tau_max {
+        return Err(format!("--tau {tau} exceeds the server's tau_max {tau_max}"));
     }
-    let queries = load_queries(opts, remote.dim as usize)?;
+    let queries = load_queries(opts, dim as usize)?;
     let topk: usize = parse_or(opts, "topk", 0)?;
     let trace = opts.contains_key("trace");
     if trace && topk > 0 {
@@ -429,51 +632,61 @@ fn cmd_query_remote(addr: &str, opts: &HashMap<String, String>) -> Result<(), St
     Ok(())
 }
 
-/// `stats --connect`: one `Stats` op, printed as a dashboard row.
+/// `stats --connect`: one `Metrics` scrape, rendered as a dashboard.
 fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
     check_flags(opts, &["connect"])?;
     let addr = need(opts, "connect")?;
     let client = GphClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let remote = client.stats().map_err(|e| e.to_string())?;
-    let (s, c, a) = (&remote.stats.service, &remote.stats.cache, &remote.stats.admission);
+    let exp = scrape(&client, addr)?;
+    let val = |series: &str| exp.value(series).unwrap_or(0.0);
+    let per_query = |total: &str| val(total) / val("gph_executed_total").max(1.0);
     println!("server:     {addr}");
     println!(
         "index:      {} rows x {} dims, {} shard(s), tau_max {}",
-        remote.rows, remote.dim, remote.shards, remote.tau_max
+        series(&exp, "gph_index_rows")?,
+        series(&exp, "gph_index_dim")?,
+        series(&exp, "gph_index_shards")?,
+        series(&exp, "gph_index_tau_max")?,
     );
     println!(
-        "responses:  {} ({} executed, {} batches, {:.0} QPS)",
-        s.responses, s.executed, s.batches, s.qps
+        "responses:  {:.0} ({:.0} executed, {:.0} batches, {:.0} QPS)",
+        val("gph_responses_total"),
+        val("gph_executed_total"),
+        val("gph_batches_total"),
+        val("gph_responses_total") / val("gph_uptime_seconds").max(1.0),
     );
     println!(
-        "latency:    p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  max {:.3} ms",
-        s.latency_p50_ns as f64 / 1e6,
-        s.latency_p95_ns as f64 / 1e6,
-        s.latency_p99_ns as f64 / 1e6,
-        s.latency_max_ns as f64 / 1e6,
+        "latency:    p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms",
+        val("gph_latency_ns{quantile=\"0.5\"}") / 1e6,
+        val("gph_latency_ns{quantile=\"0.95\"}") / 1e6,
+        val("gph_latency_ns{quantile=\"0.99\"}") / 1e6,
     );
-    println!("mutations:  {} applied, {} shed on full queue", s.mutations, s.queue_rejections);
     println!(
-        "cache:      {} hits / {} misses ({:.0}% hit rate), {} invalidations, {}/{} resident",
-        c.hits,
-        c.misses,
-        remote.stats.cache.hit_rate() * 100.0,
-        c.invalidations,
-        c.len,
-        c.capacity
+        "mutations:  {:.0} applied, {:.0} shed on full queue",
+        val("gph_mutations_total"),
+        val("gph_queue_rejections_total"),
+    );
+    let (hits, misses) = (val("gph_cache_hits"), val("gph_cache_misses"));
+    println!(
+        "cache:      {hits:.0} hits / {misses:.0} misses ({:.0}% hit rate), \
+         {:.0} invalidations, {:.0}/{:.0} resident",
+        hits / (hits + misses).max(1.0) * 100.0,
+        val("gph_cache_invalidations"),
+        val("gph_cache_len"),
+        val("gph_cache_capacity"),
     );
     println!(
         "work:       {:.0} candidates, {:.0} scanned, {:.1} results per query",
-        s.candidates_per_query, s.scanned_per_query, s.results_per_query
+        per_query("gph_candidates_total"),
+        per_query("gph_scanned_total"),
+        per_query("gph_results_total"),
     );
     println!(
-        "admission:  {} admitted, {} degraded, {} rejected",
-        a.admitted, a.degraded, a.rejected
+        "admission:  {:.0} admitted, {:.0} degraded, {:.0} rejected",
+        val("gph_admission_admitted"),
+        val("gph_admission_degraded"),
+        val("gph_admission_rejected"),
     );
-    // The page cache and the tracer live in the metrics exposition, not
-    // the Stats payload; one Metrics op fills in the rest of the row.
-    let exp = gph_suite::obs::Exposition::parse(&client.metrics().map_err(|e| e.to_string())?);
-    let val = |series: &str| exp.value(series).unwrap_or(0.0);
     let (pc_hits, pc_misses) = (val("gph_pagecache_hits"), val("gph_pagecache_misses"));
     if pc_hits + pc_misses > 0.0 {
         println!(
@@ -540,11 +753,11 @@ fn cmd_fleettop(opts: &HashMap<String, String>) -> Result<(), String> {
     std::thread::sleep(Duration::from_secs_f64(interval));
     let second = client.aggregate_metrics().map_err(|e| e.to_string())?;
 
-    let before: HashMap<&str, gph_suite::obs::Exposition> = first
+    let before: HashMap<&str, Exposition> = first
         .nodes
         .iter()
         .filter(|n| n.error.is_none())
-        .map(|n| (n.node.as_str(), gph_suite::obs::Exposition::parse(&n.text)))
+        .map(|n| (n.node.as_str(), Exposition::parse(&n.text)))
         .collect();
     println!(
         "{:<21} {:>8} {:>9} {:>10} {:>6} {:>13}",
@@ -555,7 +768,7 @@ fn cmd_fleettop(opts: &HashMap<String, String>) -> Result<(), String> {
             println!("{:<21} stale: {e}", node.node);
             continue;
         }
-        let exp = gph_suite::obs::Exposition::parse(&node.text);
+        let exp = Exposition::parse(&node.text);
         let val = |series: &str| exp.value(series).unwrap_or(0.0);
         let qps = before
             .get(node.node.as_str())
@@ -802,26 +1015,26 @@ fn cmd_manifest(opts: &HashMap<String, String>) -> Result<(), String> {
 /// `query --metastore`: the query loop routed through a [`FleetClient`]
 /// — scatter-gather over the manifest's nodes with the exact merge.
 fn cmd_query_fleet(addr: &str, opts: &HashMap<String, String>) -> Result<(), String> {
-    if opts.contains_key("index") || opts.contains_key("connect") {
-        return Err("--metastore excludes --index and --connect".into());
-    }
     let fleet = FleetClient::connect(addr, FleetConfig::default())
         .map_err(|e| format!("connecting to metastore {addr}: {e}"))?;
     let manifest = fleet.manifest();
-    // Dimensionality comes from any node; the manifest only maps slots.
+    // The index shape comes from any node; the manifest only maps slots.
     let primary = manifest.nodes[0].addrs[0].clone();
-    let remote = GphClient::connect(&primary)
-        .and_then(|c| c.stats())
-        .map_err(|e| format!("querying node {primary} stats: {e}"))?;
+    let client =
+        GphClient::connect(&primary).map_err(|e| format!("connecting to node {primary}: {e}"))?;
+    let exp = scrape(&client, &primary)?;
+    let (dim, tau_max) = (series(&exp, "gph_index_dim")?, series(&exp, "gph_index_tau_max")?);
     eprintln!(
-        "fleet manifest v{}: {} slot(s) over {} node group(s), {} dims",
+        "fleet manifest v{}: {} slot(s) over {} node group(s), {dim} dims",
         manifest.version,
         manifest.n_shards,
         manifest.nodes.len(),
-        remote.dim
     );
     let tau: u32 = parse(opts, "tau")?;
-    let queries = load_queries(opts, remote.dim as usize)?;
+    if tau as u64 > tau_max {
+        return Err(format!("--tau {tau} exceeds the fleet's tau_max {tau_max}"));
+    }
+    let queries = load_queries(opts, dim as usize)?;
     let topk: usize = parse_or(opts, "topk", 0)?;
     let trace = opts.contains_key("trace");
     if trace && topk > 0 {

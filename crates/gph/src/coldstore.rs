@@ -358,13 +358,6 @@ impl PageCache {
         Ok(())
     }
 
-    /// Reads one little-endian `u32` at `offset`.
-    pub fn read_u32(&self, file: &SegmentFile, offset: u64) -> Result<u32> {
-        let mut b = [0u8; 4];
-        self.read_into(file, offset, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
     /// Reads one little-endian `u64` at `offset`.
     pub fn read_u64(&self, file: &SegmentFile, offset: u64) -> Result<u64> {
         let mut b = [0u8; 8];
@@ -1086,11 +1079,13 @@ impl ColdSegment {
         scratch: &mut ColdScratch,
         stats: &mut QueryStats,
     ) {
-        let eread = |r: Result<u32>| -> u32 {
-            r.expect("cold segment read failed mid-query (file truncated or I/O error)")
-        };
-        let start = eread(self.cache.read_u32(&self.file, part.offs_off + slot * 4)) as u64;
-        let end = eread(self.cache.read_u32(&self.file, part.offs_off + (slot + 1) * 4)) as u64;
+        // `offsets[slot]` and `offsets[slot + 1]` are adjacent
+        // little-endian u32s: one 8-byte read holds both.
+        let pair = self
+            .cache
+            .read_u64(&self.file, part.offs_off + slot * 4)
+            .expect("cold segment read failed mid-query (file truncated or I/O error)");
+        let (start, end) = (pair & 0xFFFF_FFFF, pair >> 32);
         if start > end || end > self.n_rows as u64 {
             return;
         }
@@ -1416,6 +1411,68 @@ mod tests {
         let engine = Gph::build(ds, &cfg).unwrap();
         let (_store, cold) = spill(&engine, 1 << 20);
         assert_cold_matches(&engine, &cold, &queries, &[0, 2, 4]);
+    }
+
+    /// Planted queries: stored rows with `top_bit` flipped, every other
+    /// one with bit 0 flipped too.
+    fn planted(ds: &Dataset, top_bit: usize) -> Vec<Vec<u64>> {
+        (0..12)
+            .map(|qi| {
+                let mut q = ds.row(qi * 5).to_vec();
+                q[top_bit / 64] ^= 1 << (top_bit % 64);
+                q[0] ^= (qi % 2) as u64;
+                q
+            })
+            .collect()
+    }
+
+    fn assert_both_match_scan(
+        engine: &Gph,
+        cold: &ColdSegment,
+        queries: &[Vec<u64>],
+        taus: &[u32],
+    ) {
+        for (qi, q) in queries.iter().enumerate() {
+            for &tau in taus {
+                let expect = engine.data().linear_scan(q, tau);
+                assert_eq!(engine.search(q, tau), expect, "resident qi={qi} tau={tau}");
+                assert_eq!(cold.search(q, tau), expect, "cold qi={qi} tau={tau}");
+            }
+        }
+    }
+
+    #[test]
+    fn sixty_four_bit_single_partition_matches_scan() {
+        // One 64-bit partition: the resident engine's trie walk starts
+        // at the bit-63 mask. Rows twinned across bit 63 put keys on both
+        // sides of the top split; 600 rows keep τ ≤ 1 on the index path
+        // (ball(64, 1) = 65) and τ = 2 on the scan fallback.
+        let mut ds = random_dataset(64, 300, 57);
+        for id in 0..300 {
+            let mut twin = ds.row(id).to_vec();
+            twin[0] ^= 1 << 63;
+            ds.push_row(&twin).unwrap();
+        }
+        let mut cfg = GphConfig::new(1, 2);
+        cfg.strategy = PartitionStrategy::Original;
+        let engine = Gph::build(ds.clone(), &cfg).unwrap();
+        let (_store, cold) = spill(&engine, DEFAULT_PAGE_BYTES as u64);
+        let queries = planted(&ds, 63);
+        assert_both_match_scan(&engine, &cold, &queries, &[0, 1, 2]);
+        // Each query is within 1 of its row's twin.
+        assert!(queries.iter().all(|q| !engine.search(q, 1).is_empty()));
+    }
+
+    #[test]
+    fn wide_partitions_match_scan() {
+        // Two 80-bit partitions: hashed keys, so the resident engine
+        // enumerates the ball and looks up each signature too.
+        let ds = random_dataset(160, 400, 58);
+        let mut cfg = GphConfig::new(2, 4);
+        cfg.strategy = PartitionStrategy::Original;
+        let engine = Gph::build(ds.clone(), &cfg).unwrap();
+        let (_store, cold) = spill(&engine, DEFAULT_PAGE_BYTES as u64);
+        assert_both_match_scan(&engine, &cold, &planted(&ds, 79), &[0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! Ties together the offline phase (partitioning → projection → inverted
 //! index → CN estimator) and the online phase (CN estimation → threshold
 //! allocation → signature enumeration → index probing → verification).
-//! Per-query [`QueryStats`] decompose the time exactly as Fig. 2(a)
-//! does: threshold allocation, signature enumeration, candidate
-//! generation, verification.
+//! Per-query [`QueryStats`] decompose the time as Fig. 2(a) does:
+//! threshold allocation, signature enumeration, candidate generation,
+//! verification. For partitions of at most 64 bits enumeration and the
+//! key lookup are fused into one pruned walk over the sorted index keys,
+//! so the enumeration phase times that walk (a deviation listed in
+//! PAPER.md).
 
 use crate::alloc::{allocate, AllocatorKind};
 use crate::cn::{build_estimator, CnEstimator, CnTable, EstimatorKind};
@@ -13,7 +16,7 @@ use crate::cost::CostModel;
 use crate::index::InvertedIndex;
 use crate::partition_opt::{build_partitioning, PartitionStrategy, WorkloadSpec};
 use crate::pigeonhole::ThresholdVector;
-use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_words};
+use hamming_core::enumerate::{ball_size, for_each_in_ball_words, for_each_key_in_ball};
 use hamming_core::error::{HammingError, Result};
 use hamming_core::key::key_of;
 use hamming_core::project::{ProjectedDataset, Projector};
@@ -82,13 +85,21 @@ pub struct QueryStats {
     pub thresholds: Vec<i32>,
     /// Time estimating CN tables + running the allocator.
     pub alloc_ns: u64,
-    /// Time enumerating signatures.
+    /// Time finding the index key slots inside each partition's
+    /// signature ball: the pruned trie walk over the sorted keys for
+    /// partitions of at most 64 bits, enumeration plus one key lookup
+    /// per signature for wider ones. The file-backed engine
+    /// ([`crate::coldstore::ColdSegment`]) only enumerates here; its key
+    /// lookups count under `candgen_ns`.
     pub enumerate_ns: u64,
-    /// Time probing postings + deduplicating candidates.
+    /// Time reading the matched slots' postings + deduplicating
+    /// candidates (and the projected-column scan fallback).
     pub candgen_ns: u64,
     /// Time verifying candidates.
     pub verify_ns: u64,
-    /// Signatures enumerated.
+    /// Signatures covered: `Σ ball_size(wᵢ, τᵢ)` over the partitions
+    /// answered through the index, the count enumeration would visit
+    /// (the trie walk covers the same ball without visiting each one).
     pub n_signatures: u64,
     /// `Σ_s |I_s|` — postings touched (Fig. 2(b)'s upper bound). Only
     /// index probes count here; rows examined by the scan fallback are
@@ -129,12 +140,12 @@ pub(crate) struct Scratch {
     stamps: Vec<u32>,
     epoch: u32,
     candidates: Vec<u32>,
-    keys: Vec<u64>,
+    slots: Vec<usize>,
 }
 
 impl Scratch {
     fn new(n: usize) -> Self {
-        Scratch { stamps: vec![0; n], epoch: 0, candidates: Vec::new(), keys: Vec::new() }
+        Scratch { stamps: vec![0; n], epoch: 0, candidates: Vec::new(), slots: Vec::new() }
     }
 }
 
@@ -338,24 +349,29 @@ impl Gph {
                 stats.candgen_ns += t2.elapsed().as_nanos() as u64;
                 continue;
             }
-            // Enumerate signatures first (timed separately, as the paper
-            // decomposes), then probe.
+            // Phase 2 finds the key slots inside the ball (timed as the
+            // paper's enumeration); phase 3 reads their postings and
+            // deduplicates. Narrow keys are the projected values, so one
+            // pruned trie walk over the sorted keys replaces enumerating
+            // the ball; wide keys are hashed, so their ball is enumerated
+            // and each signature looked up.
             let t1 = Instant::now();
-            scratch.keys.clear();
+            scratch.slots.clear();
+            let keys = self.index.part_keys(i);
             if width <= 64 {
                 let center = q_proj[i].first().copied().unwrap_or(0);
-                for_each_in_ball_u64(center, width, radius, |v| scratch.keys.push(v));
+                for_each_key_in_ball(keys, center, width, radius, |s| scratch.slots.push(s));
             } else {
                 for_each_in_ball_words(&q_proj[i], width, radius, |w| {
-                    scratch.keys.push(key_of(w, width))
+                    scratch.slots.extend(keys.binary_search(&key_of(w, width)).ok())
                 });
             }
-            stats.n_signatures += scratch.keys.len() as u64;
+            stats.n_signatures += ball;
             stats.enumerate_ns += t1.elapsed().as_nanos() as u64;
 
             let t2 = Instant::now();
-            for &key in &scratch.keys {
-                let postings = self.index.postings(i, key);
+            for &s in &scratch.slots {
+                let postings = self.index.slot_postings(i, s);
                 stats.sum_postings += postings.len() as u64;
                 for &id in postings {
                     let idu = id as usize;
@@ -641,6 +657,71 @@ mod tests {
         assert!(st.n_candidates <= st.sum_postings + st.n_scanned);
         assert!(st.n_results <= st.n_candidates);
         assert_eq!(st.n_results as usize, res.ids.len());
+    }
+
+    /// The pre-walk candidate generation, replayed under `thresholds`:
+    /// enumerate every signature of each ball and probe it with
+    /// [`InvertedIndex::postings`]. Returns `(n_signatures,
+    /// sum_postings, n_candidates)`.
+    fn enumerate_and_probe(gph: &Gph, query: &[u64], thresholds: &[i32]) -> (u64, u64, u64) {
+        let (mut sigs, mut postings) = (0u64, 0u64);
+        let mut cands = std::collections::HashSet::new();
+        for (i, &ti) in thresholds.iter().enumerate() {
+            if ti < 0 {
+                continue;
+            }
+            let width = gph.projector.shape(i).width;
+            let radius = (ti as usize).min(width);
+            assert!(ball_size(width, radius) <= gph.data.len() as u64, "index path");
+            let mut probe = |key: u64| {
+                sigs += 1;
+                let ids = gph.index.postings(i, key);
+                postings += ids.len() as u64;
+                cands.extend(ids.iter().copied());
+            };
+            let qv = gph.projector.project(i, query);
+            if width <= 64 {
+                hamming_core::enumerate::for_each_in_ball_u64(qv[0], width, radius, probe);
+            } else {
+                for_each_in_ball_words(&qv, width, radius, |w| probe(key_of(w, width)));
+            }
+        }
+        (sigs, postings, cands.len() as u64)
+    }
+
+    #[test]
+    fn trie_walk_counts_equal_enumerate_and_probe() {
+        // 16-bit partitions take the trie walk, 80-bit ones the kept
+        // enumerate + lookup path; both must report exactly the counts
+        // of enumerating every signature and probing it.
+        for (dim, m, n, taus) in [(64, 4, 3000, [3u32, 6, 8]), (160, 2, 400, [1, 2, 3])] {
+            let ds = random_dataset(dim, n, 0.4, 55);
+            let mut cfg = GphConfig::new(m, 8);
+            cfg.strategy = PartitionStrategy::RandomShuffle { seed: 11 };
+            let gph = Gph::build(ds.clone(), &cfg).unwrap();
+            let mut compared = 0;
+            for qi in 0..10 {
+                // Planted neighbours: a stored row with two bits flipped.
+                let mut q = ds.row(qi * 7).to_vec();
+                q[0] ^= 0b1001 << (qi % 30);
+                for tau in taus {
+                    let res = gph.search_with_stats(&q, tau);
+                    let st = &res.stats;
+                    if st.n_scanned > 0 {
+                        continue; // the scan fallback is not enumeration
+                    }
+                    let old = enumerate_and_probe(&gph, &q, &st.thresholds);
+                    assert_eq!(
+                        (st.n_signatures, st.sum_postings, st.n_candidates),
+                        old,
+                        "dim={dim} qi={qi} tau={tau}"
+                    );
+                    assert_eq!(res.ids, ds.linear_scan(&q, tau));
+                    compared += 1;
+                }
+            }
+            assert!(compared >= 15, "dim={dim}: only {compared} queries took the index path");
+        }
     }
 
     #[test]

@@ -734,9 +734,10 @@ impl SegmentedGph {
     }
 
     /// Maps one sealed engine's [`QueryStats`] onto a trace entry. The
-    /// engine's candidate-generation time (probe + dedup, or the scan
-    /// fallback when the signature ball outgrows the segment) lands in
-    /// `probe_ns`; memtable scans are traced separately under `scan_ns`.
+    /// engine's candidate-generation time (postings reads + dedup, or
+    /// the scan fallback when the signature ball outgrows the segment)
+    /// lands in `probe_ns`; memtable scans are traced separately under
+    /// `scan_ns`.
     fn trace_of(segment: u32, rows: usize, st: &QueryStats) -> SegmentTrace {
         SegmentTrace {
             segment,

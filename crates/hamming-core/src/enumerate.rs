@@ -5,6 +5,11 @@
 //! the *signatures* — and probes an inverted index with each. This module
 //! provides that enumeration for single-word (≤ 64 dimensions, the common
 //! case) and multi-word partitions.
+//!
+//! When the keys to probe are themselves sorted, enumeration and probing
+//! fuse: [`for_each_key_in_ball`] walks the sorted keys as a binary trie
+//! and yields the positions of the keys inside the ball, touching only
+//! populated subtrees near the query instead of every ball member.
 
 /// Calls `f(s)` for every single-word value `s` with `width` significant
 /// bits such that `H(s, value) <= radius`.
@@ -93,6 +98,101 @@ fn combos_words<F: FnMut(&[u64])>(
         buf[p / 64] ^= 1u64 << (p % 64);
         combos_words(width, k, depth + 1, p + 1, positions, buf, f);
         buf[p / 64] ^= 1u64 << (p % 64);
+    }
+}
+
+/// First position in `lo..hi` whose key is at least `target` (`hi` if
+/// none).
+fn lower_bound(keys: &[u64], mut lo: usize, mut hi: usize, target: u64) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if keys[mid] < target {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Key ranges at most this long are filtered key by key (a masked
+/// popcount each) instead of being split further.
+const LEAF_KEYS: usize = 8;
+
+/// Calls `f(pos)` for every position of `keys` whose key lies within
+/// `radius` of `center`, in ascending position order, each exactly once:
+/// the intersection of the Hamming ball with the keys, without
+/// enumerating the ball.
+///
+/// `keys` must be ascending and distinct, and every key and `center`
+/// must have no bits set at or above `width ≤ 64`. The keys are walked
+/// as a binary trie from the top bit: an ascending range whose keys
+/// share a prefix splits at the first key with the next bit set, and a
+/// subtree is dropped as soon as it is empty or its prefix is already
+/// more than `radius` from `center`'s. Out-of-order keys cannot make
+/// the walk panic or emit a position twice, only give a wrong set of
+/// positions.
+///
+/// The work is bounded by the populated trie nodes within `radius`, not
+/// by [`ball_size`]`(width, radius)`, which is what makes it cheaper
+/// than enumerate-then-probe when the ball outnumbers the keys it hits.
+pub fn for_each_key_in_ball<F>(keys: &[u64], center: u64, width: usize, radius: usize, mut f: F)
+where
+    F: FnMut(usize),
+{
+    debug_assert!(width <= 64);
+    debug_assert!(width == 64 || center >> width == 0, "center has bits above width");
+    TrieWalk { keys, center, radius, f: &mut f }.node(0, keys.len(), width, 0, 0);
+}
+
+/// The state shared by every node of one [`for_each_key_in_ball`] walk.
+struct TrieWalk<'a, F> {
+    keys: &'a [u64],
+    center: u64,
+    radius: usize,
+    f: &'a mut F,
+}
+
+impl<F: FnMut(usize)> TrieWalk<'_, F> {
+    /// One trie node: `keys[lo..hi]` all carry `prefix` on the bits at
+    /// or above `level` (the `level` low bits are still free), and
+    /// `prefix` is `dist ≤ radius` from `center` on those bits.
+    fn node(&mut self, lo: usize, hi: usize, level: usize, dist: usize, prefix: u64) {
+        if lo >= hi {
+            return;
+        }
+        if dist + level <= self.radius {
+            // Even flipping every free bit stays inside the ball.
+            (lo..hi).for_each(&mut *self.f);
+            return;
+        }
+        let free = if level >= 64 { u64::MAX } else { (1u64 << level) - 1 };
+        if hi - lo <= LEAF_KEYS {
+            for (pos, &k) in (lo..hi).zip(&self.keys[lo..hi]) {
+                if dist + ((k ^ self.center) & free).count_ones() as usize <= self.radius {
+                    (self.f)(pos);
+                }
+            }
+            return;
+        }
+        if dist == self.radius {
+            // No free bit may differ: only the center's own completion
+            // of the prefix can match.
+            let target = prefix | (self.center & free);
+            let s = lower_bound(self.keys, lo, hi, target);
+            if s < hi && self.keys[s] == target {
+                (self.f)(s);
+            }
+            return;
+        }
+        // `dist < radius < dist + level`: `level ≥ 1`, and both children
+        // stay within `radius`. Split at the first key with the next bit
+        // set.
+        let bit = 1u64 << (level - 1);
+        let split = lower_bound(self.keys, lo, hi, prefix | bit);
+        let (d0, d1) = if self.center & bit == 0 { (dist, dist + 1) } else { (dist + 1, dist) };
+        self.node(lo, split, level - 1, d0, prefix);
+        self.node(split, hi, level - 1, d1, prefix | bit);
     }
 }
 

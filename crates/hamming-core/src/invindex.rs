@@ -4,11 +4,19 @@
 //! the vector's ID (§II-C, §VI). The index is immutable after build, so
 //! each partition's postings are stored in **CSR form**: one sorted
 //! `keys` array, one `offsets` prefix-sum array (`keys.len() + 1`
-//! entries), and one flat `ids` array, so a probe is a binary search
-//! followed by a contiguous slice — no hash-map pointer chasing on the
-//! query hot path, and no per-key `Vec` churn at build time. Signatures
-//! are enumerated **on the query side only** — the property that keeps
-//! GPH's index smaller than HmSearch's and PartAlloc's in Fig. 6.
+//! entries), and one flat `ids` array, so a key's postings are one
+//! contiguous slice — no hash-map pointer chasing on the query hot path,
+//! and no per-key `Vec` churn at build time. Signatures are matched
+//! **on the query side only** — the property that keeps GPH's index
+//! smaller than HmSearch's and PartAlloc's in Fig. 6.
+//!
+//! For partitions of at most 64 bits the keys are the projected values
+//! themselves, so the sorted `keys` array is a binary trie: the engine
+//! finds the key slots inside a query's Hamming ball with one pruned
+//! walk ([`crate::enumerate::for_each_key_in_ball`]) and then reads
+//! [`InvertedIndex::slot_postings`]. Wider partitions hold hashed keys
+//! with no trie order; their enumerated signatures are looked up one by
+//! one ([`InvertedIndex::postings`]).
 //!
 //! Because keys are sorted, the in-memory layout is a *canonical*
 //! function of the indexed data: two builds over the same dataset and
@@ -38,9 +46,14 @@ impl PartIndex {
     #[inline]
     fn postings(&self, key: u64) -> &[u32] {
         match self.keys.binary_search(&key) {
-            Ok(s) => &self.ids[self.offsets[s] as usize..self.offsets[s + 1] as usize],
+            Ok(s) => self.slot(s),
             Err(_) => &[],
         }
+    }
+
+    #[inline]
+    fn slot(&self, s: usize) -> &[u32] {
+        &self.ids[self.offsets[s] as usize..self.offsets[s + 1] as usize]
     }
 }
 
@@ -115,6 +128,13 @@ impl InvertedIndex {
     #[inline]
     pub fn postings(&self, p: usize, key: u64) -> &[u32] {
         self.parts[p].postings(key)
+    }
+
+    /// Postings list of key slot `s` (the position of a key in
+    /// [`InvertedIndex::part_keys`]) in partition `p` (IDs ascending).
+    #[inline]
+    pub fn slot_postings(&self, p: usize, s: usize) -> &[u32] {
+        self.parts[p].slot(s)
     }
 
     /// Number of distinct signatures in partition `p`.

@@ -3,7 +3,9 @@
 use hamming_core::bitvec::BitVector;
 use hamming_core::dataset::Dataset;
 use hamming_core::distance::{hamming, hamming_within};
-use hamming_core::enumerate::{ball_size, for_each_in_ball_u64, for_each_in_ball_words};
+use hamming_core::enumerate::{
+    ball_size, for_each_in_ball_u64, for_each_in_ball_words, for_each_key_in_ball,
+};
 use hamming_core::io::{decode_dataset, encode_dataset};
 use hamming_core::partition::Partitioning;
 use hamming_core::project::{ProjectedDataset, Projector};
@@ -62,6 +64,55 @@ proptest! {
         expect.sort_unstable();
         prop_assert_eq!(got_sorted, expect);
         prop_assert_eq!(got.len() as u64, ball_size(width, radius));
+    }
+
+    #[test]
+    fn key_ball_walk_matches_bruteforce(
+        width in 1usize..=64,
+        raw in prop::collection::vec(any::<u64>(), 0..120),
+        near in prop::collection::vec(any::<u64>(), 0..120),
+        raw_center in any::<u64>(),
+        radius_pick in any::<usize>(),
+    ) {
+        let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+        let center = raw_center & mask;
+        // Uniform keys (at width 64 about half have bit 63 set) plus a
+        // cluster a few bits from the center, so both pruning and the
+        // all-inside shortcut are exercised.
+        let mut keys: Vec<u64> = raw
+            .iter()
+            .map(|k| k & mask)
+            .chain(near.iter().map(|r| (center ^ (r & (r >> 17) & (r >> 29))) & mask))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let radius = radius_pick % (width + 1);
+        let mut got = Vec::new();
+        for_each_key_in_ball(keys.as_slice(), center, width, radius, |s| got.push(s));
+        let expect: Vec<usize> = (0..keys.len())
+            .filter(|&s| (keys[s] ^ center).count_ones() as usize <= radius)
+            .collect();
+        // Ascending and exactly once each: equal to the filtered positions.
+        prop_assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn key_ball_walk_edge_sets(width in 1usize..=64, raw_center in any::<u64>()) {
+        let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+        let center = raw_center & mask;
+        for radius in 0..=width {
+            // Empty key set: nothing, whatever the ball.
+            let mut got = Vec::new();
+            for_each_key_in_ball(&[] as &[u64], center, width, radius, |s| got.push(s));
+            prop_assert!(got.is_empty());
+            // A single key: found iff within radius.
+            for key in [center, center ^ 1, !center & mask, mask, 0] {
+                let mut got = Vec::new();
+                for_each_key_in_ball(&[key][..], center, width, radius, |s| got.push(s));
+                let hit = (key ^ center).count_ones() as usize <= radius;
+                prop_assert_eq!(got, if hit { vec![0] } else { vec![] });
+            }
+        }
     }
 
     #[test]

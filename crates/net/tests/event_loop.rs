@@ -1,17 +1,23 @@
 //! Event-loop mechanics under adversarial clients: slow readers hit the
-//! write-buffer cap (backpressure, not unbounded memory), idle
+//! write-buffer cap (backpressure, not unbounded memory) and then drain
+//! without stalls, over-cap `BatchSearch` answers included, idle
 //! connections get evicted, a thousand concurrent idle connections fit
 //! on a handful of threads (no thread-per-connection), the connection
 //! cap refuses with a typed frame, and garbage bytes produce a typed
 //! error — never a panic or a hang.
 
-use gph_net::protocol::{encode_request, encode_response, read_frame, Message};
+use gph::engine::GphConfig;
+use gph::partition_opt::PartitionStrategy;
+use gph_net::protocol::{encode_request, encode_response, read_frame, Message, SearchEntry};
 use gph_net::{
-    FleetManifest, FleetNode, GphClient, MetastoreServer, Request, Response, ServerConfig,
-    WireError,
+    FleetManifest, FleetNode, GphClient, MetastoreServer, NetServer, Request, Response,
+    ServerConfig, WireError,
 };
+use gph_serve::{QueryService, ServiceConfig, ShardedIndex};
+use hamming_core::Dataset;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A manifest whose encoding is large (~64 KiB): one node owning one
@@ -88,6 +94,75 @@ fn slow_reader_backpressure_respects_the_write_buffer_cap() {
     let stats = server.shutdown();
     assert_eq!(stats.responses, REQUESTS + 1, "all requests answered (plus the publish)");
     assert!((stats.write_buffer_peak as usize) < CAP + frame_len);
+}
+
+#[test]
+fn over_cap_batch_answers_drain_without_stalls() {
+    // Every stored row is within TAU of every query, so each batch
+    // answer lists every id once per query: several times the cap.
+    const CAP: usize = 16 * 1024;
+    const ROWS: usize = 1500;
+    const BATCH: usize = 8;
+    const REQUESTS: u64 = 40;
+    const TAU: u32 = 5;
+    let mut ds = Dataset::new(64);
+    for i in 0..ROWS {
+        ds.push_row(&[(i % 16) as u64]).unwrap(); // popcount ≤ 4
+    }
+    let queries: Vec<Vec<u64>> = (0..BATCH).map(|j| vec![1u64 << (40 + j)]).collect();
+    let want: Vec<u32> = (0..ROWS as u32).collect();
+    assert!(queries.iter().all(|q| ds.linear_scan(q, TAU) == want), "fixture: all rows match");
+
+    let cfg = GphConfig { strategy: PartitionStrategy::Original, ..GphConfig::new(4, 8) };
+    let index = Arc::new(ShardedIndex::build(&ds, 1, &cfg).unwrap());
+    // A queue deep enough that no batch entry is shed as overloaded.
+    let service_cfg = ServiceConfig { queue_capacity: 1024, ..ServiceConfig::default() };
+    let service = Arc::new(QueryService::new(index, service_cfg));
+    let server_cfg = ServerConfig { max_write_buffer: CAP, ..ServerConfig::default() };
+    let server = NetServer::bind("127.0.0.1:0", service, server_cfg).unwrap();
+
+    let request = Request::BatchSearch { tau: TAU, queries: queries.clone() };
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    for id in 1..=REQUESTS {
+        sock.write_all(&encode_request(id, &request)).unwrap();
+    }
+    // Let the answers jam against the cap while the socket stays unread.
+    std::thread::sleep(Duration::from_millis(300));
+    let jammed = server.stats();
+    assert!(jammed.backpressure_pauses > 0, "over-cap answers must trip backpressure: {jammed:?}");
+
+    // Drain: every answer arrives complete, in order, and correct, with
+    // no poll-timeout stall between frames (that stall alone would cost
+    // 250 ms a frame, 10 s in all).
+    let drain = Instant::now();
+    let mut bytes = 0usize;
+    for id in 1..=REQUESTS {
+        let (got_id, msg, len) =
+            read_frame(&mut sock).expect("clean frame").expect("server still serving");
+        assert_eq!(got_id, id);
+        assert!(len > CAP, "answer {id} is {len} bytes, not over the {CAP}-byte cap");
+        bytes += len;
+        let Message::Response(Response::Batch(entries)) = msg else {
+            panic!("answer {id} was {msg:?}")
+        };
+        assert_eq!(entries.len(), BATCH);
+        for entry in entries {
+            match entry {
+                SearchEntry::Ids { ids, .. } => assert_eq!(ids, want, "answer {id}"),
+                other => panic!("answer {id} held {other:?}"),
+            }
+        }
+    }
+    let drained = drain.elapsed();
+    println!(
+        "drained {REQUESTS} batch answers ({} KiB) in {drained:?}: {:.0} answers/s",
+        bytes / 1024,
+        REQUESTS as f64 / drained.as_secs_f64()
+    );
+    assert!(drained < Duration::from_secs(5), "draining {REQUESTS} answers took {drained:?}");
+    let stats = server.shutdown();
+    assert!((stats.write_buffer_peak as usize) < CAP + bytes / REQUESTS as usize + 64);
 }
 
 #[test]

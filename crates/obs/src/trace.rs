@@ -25,10 +25,14 @@ use std::sync::Mutex;
 pub struct PhaseNanos {
     /// Threshold allocation: CN estimation + DP allocation lookup.
     pub alloc_ns: u64,
-    /// Signature-ball enumeration.
+    /// Finding the index key slots inside each signature ball: the
+    /// pruned trie walk over the sorted keys (partitions of at most 64
+    /// bits), or enumeration plus one key lookup per signature (wider).
+    /// A file-backed segment only enumerates here.
     pub enumerate_ns: u64,
-    /// Postings probe + candidate dedup (includes the sealed-segment
-    /// scan fallback when the ball outgrows the segment).
+    /// Postings reads of the matched slots + candidate dedup (includes
+    /// the sealed-segment scan fallback when the ball outgrows the
+    /// segment, and a file-backed segment's key lookups).
     pub probe_ns: u64,
     /// Batched candidate verification.
     pub verify_ns: u64,
@@ -66,7 +70,8 @@ pub struct SegmentTrace {
     pub rows: u64,
     /// Per-phase wall time.
     pub phases: PhaseNanos,
-    /// Signatures enumerated.
+    /// Signatures covered: the summed ball sizes of the partitions
+    /// answered through the index.
     pub n_signatures: u64,
     /// Σ postings-list lengths probed.
     pub sum_postings: u64,
